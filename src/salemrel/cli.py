@@ -21,7 +21,7 @@ from .polyarith import (IntPoly, NotReciprocalError, OddDegreeError,
                         format_poly, pair_sum_lift, pair_sum_trace_poly,
                         poly_gcd, trace_lift, trace_project)
 from .realroots import count_roots, refine
-from .relations import find_relations
+from .relations import _sum_interval, find_relations
 from .salemkit import (FAMILIES, SalemCertificate, bad_degrees,
                        enum_deg6_trace0_detail, pair_sum_enum, salem_check,
                        trace0_salem_detail)
@@ -463,10 +463,7 @@ def _cmd_relations(args):
         for rep in reports:
             if rep.status == "numeric_only":
                 continue
-            lo = sum(m * (b.lo if m > 0 else b.hi)
-                     for m, b in zip(rep.reduced, boxes))
-            hi = sum(m * (b.hi if m > 0 else b.lo)
-                     for m, b in zip(rep.reduced, boxes))
+            lo, hi = _sum_interval(boxes, rep.reduced)
             if not lo <= 0 <= hi:
                 fails.append(f"certified relation {rep.reduced} fails "
                              "screening at doubled precision")

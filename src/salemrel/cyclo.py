@@ -14,6 +14,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .factorint import _divisors
 from .polyarith import IntPoly, div_exact, poly_gcd
 
 VALIDATED_RANGE = (2, 200)
@@ -98,18 +99,6 @@ class ProgressionSet:
             if e.order == order:
                 return e
         return None
-
-
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
 
 
 @functools.lru_cache(maxsize=None)

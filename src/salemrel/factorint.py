@@ -231,37 +231,10 @@ def _gp_factor_monic_squarefree(f, p, rng):
 
 
 # -- Z/m arithmetic for Hensel lifting -------------------------------------------
-
-
-def _zm_add(a, b, m):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % m
-    return _gp_trim(out)
-
-
-def _zm_sub(a, b, m):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % m
-    return _gp_trim(out)
-
-
-def _zm_mul(a, b, m):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _gp_trim([c % m for c in out])
+#
+# _gp_add/_gp_sub/_gp_mul never invert, so they serve any modulus; only
+# division needs its own form, since a composite modulus leaves just a monic
+# divisor safe to divide by.
 
 
 def _zm_divmod_monic(a, b, m):
@@ -288,14 +261,14 @@ def _hensel_step(f, g, h, s, t, m):
     """
     mm = m * m
     fm = [c % mm for c in f]
-    e = _zm_sub(fm, _zm_mul(g, h, mm), mm)
-    q, r = _zm_divmod_monic(_zm_mul(s, e, mm), h, mm)
-    g1 = _zm_add(g, _zm_add(_zm_mul(t, e, mm), _zm_mul(q, g, mm), mm), mm)
-    h1 = _zm_add(h, r, mm)
-    b = _zm_sub(_zm_add(_zm_mul(s, g1, mm), _zm_mul(t, h1, mm), mm), [1], mm)
-    c, d = _zm_divmod_monic(_zm_mul(s, b, mm), h1, mm)
-    s1 = _zm_sub(s, d, mm)
-    t1 = _zm_sub(t, _zm_add(_zm_mul(t, b, mm), _zm_mul(c, g1, mm), mm), mm)
+    e = _gp_sub(fm, _gp_mul(g, h, mm), mm)
+    q, r = _zm_divmod_monic(_gp_mul(s, e, mm), h, mm)
+    g1 = _gp_add(g, _gp_add(_gp_mul(t, e, mm), _gp_mul(q, g, mm), mm), mm)
+    h1 = _gp_add(h, r, mm)
+    b = _gp_sub(_gp_add(_gp_mul(s, g1, mm), _gp_mul(t, h1, mm), mm), [1], mm)
+    c, d = _zm_divmod_monic(_gp_mul(s, b, mm), h1, mm)
+    s1 = _gp_sub(s, d, mm)
+    t1 = _gp_sub(t, _gp_add(_gp_mul(t, b, mm), _gp_mul(c, g1, mm), mm), mm)
     return g1, h1, s1, t1
 
 
@@ -403,7 +376,7 @@ def _factor_monic_squarefree(f: IntPoly) -> list[IntPoly]:
         for combo in itertools.combinations(remaining, size):
             prod = [1]
             for i in combo:
-                prod = _zm_mul(prod, lifted[i], modulus)
+                prod = _gp_mul(prod, lifted[i], modulus)
             cand = symmetric(prod)
             if g[0] != 0 and cand[0] != 0 and g[0] % cand[0] != 0:
                 continue
@@ -478,10 +451,8 @@ def is_irreducible(p: IntPoly) -> bool:
             and fz.factors[0][1] == 1)
 
 
-# -- Kronecker interpolation oracle (tests only) ----------------------------------
-
-
 def _divisors(n: int) -> list[int]:
+    """Positive divisors of |n| in ascending order, by trial division."""
     n = abs(n)
     small, large = [], []
     d = 1
@@ -492,6 +463,9 @@ def _divisors(n: int) -> list[int]:
                 large.append(n // d)
         d += 1
     return small + large[::-1]
+
+
+# -- Kronecker interpolation oracle (tests only) ----------------------------------
 
 
 def _interpolate(points: list[tuple[int, int]]):

@@ -317,11 +317,6 @@ def format_poly(p: IntPoly) -> str:
     return "".join(parts)
 
 
-def eval_sign(p: IntPoly, t: Rational) -> Sign:
-    """Exact sign of p at a rational point."""
-    return p.sign_at(t)
-
-
 # -- gcd ------------------------------------------------------------------------
 
 
@@ -330,17 +325,38 @@ def _pseudo_rem(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     da, db = len(a) - 1, len(b) - 1
     lcb = b[-1]
     rem = list(a)
-    steps = 0
     for k in range(da - db, -1, -1):
         for i in range(len(rem)):
             rem[i] *= lcb
-        steps += 1
         head = rem[k + db]
         q_c = head // lcb
         for i in range(db + 1):
             rem[k + i] -= q_c * b[i]
-    # prem is defined with exactly da-db+1 multiplier factors; steps == da-db+1 here
     return _trim(rem)
+
+
+def _subresultant_prs(a: tuple[int, ...], b: tuple[int, ...]):
+    """Subresultant PRS of coefficient tuples a and b, len(a) >= len(b).
+
+    Yields (r, delta, divisor) for each nonzero element after b: r is
+    prem(a_i, b_i) divided exactly by divisor, delta is deg a_i - deg b_i,
+    and (b_i, r) is the next pair.  Stops at a zero remainder or a constant
+    element.  The divisors keep coefficient growth polynomial in the degree.
+    """
+    g = h = 1
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        r = _pseudo_rem(a, b)
+        if not r:
+            return
+        divisor = g * h ** delta
+        r = tuple(c // divisor for c in r)
+        yield r, delta, divisor
+        a, b = b, r
+        g = a[-1]
+        if delta >= 1:
+            h = g ** delta // h ** (delta - 1)
+        # delta == 0 leaves h unchanged
 
 
 def poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
@@ -359,23 +375,12 @@ def poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
     b = q.primitive_part().coeffs
     if len(a) < len(b):
         a, b = b, a
-    g = 1
-    h = 1
-    while True:
-        if len(b) == 1:
-            # nonzero constant: coprime over Q
-            return IntPoly((1,))
-        delta = (len(a) - 1) - (len(b) - 1)
-        r = _pseudo_rem(a, b)
-        if not r:
-            return _pos_primitive(IntPoly(b))
-        divisor = g * h ** delta
-        r = tuple(c // divisor for c in r)
-        a, b = b, r
-        g = a[-1]
-        if delta >= 1:
-            h = g ** delta // h ** (delta - 1)
-        # delta == 0 leaves h unchanged
+    for b, _, _ in _subresultant_prs(a, b):
+        pass
+    if len(b) == 1:
+        # nonzero constant: coprime over Q
+        return IntPoly((1,))
+    return _pos_primitive(IntPoly(b))
 
 
 def _pos_primitive(p: IntPoly) -> IntPoly:

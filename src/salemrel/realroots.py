@@ -13,7 +13,8 @@ import math
 from fractions import Fraction
 from typing import Optional, Union
 
-from .polyarith import IntPoly, Sign, _pseudo_rem, div_exact, poly_gcd
+from .polyarith import (IntPoly, Sign, _subresultant_prs, div_exact,
+                        poly_gcd)
 
 POS_INF = math.inf
 NEG_INF = -math.inf
@@ -103,30 +104,13 @@ def _sqf_and_chain(p: IntPoly) -> tuple[IntPoly, tuple[IntPoly, ...]]:
     f0 = sqf
     f1 = sqf.derivative().primitive_part()
     chain = [f0, f1]
-    A = f0.coeffs
-    B = f1.coeffs
-    sA = 1  # sign of the multiplier relating A to the true Sturm element
-    sB = 1
-    g = 1
-    h = 1
-    while True:
-        dA, dB = len(A) - 1, len(B) - 1
-        delta = dA - dB
-        R = _pseudo_rem(A, B)
-        if not R:
-            break
-        divisor = g * h ** delta
-        R = tuple(c // divisor for c in R)
-        sign_new = -(_sign(B[-1]) ** (delta + 1)) * sA * _sign(divisor)
-        elem = (IntPoly(R) * sign_new).primitive_part()
-        chain.append(elem)
-        A, B = B, R
-        sA, sB = sB, sign_new
-        g = A[-1]
-        if delta >= 1:
-            h = g ** delta // h ** (delta - 1)
-        if len(B) == 1:
-            break
+    # signs of the multipliers relating the last two PRS elements to the
+    # true Sturm elements, and the leading coefficient of the last one
+    s_a, s_b, lc_b = 1, 1, f1.lc
+    for r, delta, divisor in _subresultant_prs(f0.coeffs, f1.coeffs):
+        s_new = -(_sign(lc_b) ** (delta + 1)) * s_a * _sign(divisor)
+        chain.append((IntPoly(r) * s_new).primitive_part())
+        s_a, s_b, lc_b = s_b, s_new, r[-1]
     return sqf, tuple(chain)
 
 
@@ -200,17 +184,20 @@ def _count_open(w: IntPoly, a: Fraction, b: Fraction) -> int:
 
 
 def _kth_root_ceil(m: int, k: int) -> int:
-    """Smallest t >= 0 with t**k >= m."""
+    """Smallest t >= 0 with t**k >= m, in integer arithmetic only."""
     if m <= 0:
         return 0
     if k == 1:
         return m
-    t = max(1, int(round(m ** (1.0 / k))))
-    while t ** k >= m:
-        t -= 1
-    while t ** k < m:
-        t += 1
-    return t
+    # Newton's iteration for floor(m**(1/k)) descends monotonically from any
+    # start at or above the root; 2**ceil(bits/k) is one
+    t = 1 << -(-m.bit_length() // k)
+    while True:
+        u = ((k - 1) * t + m // t ** (k - 1)) // k
+        if u >= t:
+            break
+        t = u
+    return t if t ** k >= m else t + 1
 
 
 def root_bound(p: IntPoly) -> int:
@@ -366,3 +353,16 @@ def sqrt_interval(lo: Fraction, hi: Fraction, bits: int = 64) -> tuple[Fraction,
     lower = Fraction(math.isqrt(zl * scale * scale), lo.denominator * scale)
     upper = Fraction(math.isqrt(zh * scale * scale) + 1, hi.denominator * scale)
     return lower, upper
+
+
+# -- interval evaluation ----------------------------------------------------------
+
+
+def _poly_range(p: IntPoly, lo: Fraction, hi: Fraction):
+    """Conservative range of p over [lo, hi] by interval Horner."""
+    rlo = rhi = Fraction(0)
+    for c in reversed(p.coeffs):
+        a, b, cc, d = rlo * lo, rlo * hi, rhi * lo, rhi * hi
+        rlo = min(a, b, cc, d) + c
+        rhi = max(a, b, cc, d) + c
+    return rlo, rhi

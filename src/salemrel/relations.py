@@ -18,8 +18,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polyarith import IntPoly, pair_sum_trace_poly
-from .realroots import refine, sqrt_interval
+from .polyarith import IntPoly
+from .realroots import _poly_range, refine, sqrt_interval
 from .salemkit import SalemCertificate
 
 MAX_LENGTH_LIMIT = 24
@@ -87,16 +87,6 @@ def _interleave(reduced: tuple[int, ...]) -> RelationVector:
 # -- interval helpers ---------------------------------------------------------------
 
 
-def _poly_range(p: IntPoly, lo: Fraction, hi: Fraction):
-    """Conservative range of p over [lo, hi] by interval Horner."""
-    rlo = rhi = Fraction(0)
-    for c in reversed(p.coeffs):
-        a, b, cc, d = rlo * lo, rlo * hi, rhi * lo, rhi * hi
-        rlo = min(a, b, cc, d) + c
-        rhi = max(a, b, cc, d) + c
-    return rlo, rhi
-
-
 def _mul_range(alo, ahi, blo, bhi):
     prods = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
     return min(prods), max(prods)
@@ -122,40 +112,29 @@ def _refined(boxes, width: Fraction):
 
 
 def _recover_window_poly(g: IntPoly):
-    """Integer h with g = (-1)^k h(x(1-x)), or None.
+    """Monic integer h with g = (-1)^k h(x(1-x)), or None.
 
-    h is pinned by interpolation at x = 1..k+1 (where x(1-x) takes distinct
-    values) and then checked by exact re-expansion.
+    h is read off top-down in powers of u = x - x^2, the way trace_project
+    peels off powers of x^2 + 1: u^j has degree 2j and leading coefficient
+    (-1)^j, so every step is exact and a nonzero remainder means no h exists.
     """
-    if g.degree % 2 != 0:
-        return None
+    if g.degree < 2 or g.degree % 2 != 0 or not g.is_monic:
+        return None  # h monic of degree k forces g monic of degree 2k
     k = g.degree // 2
-    sign = -1 if k % 2 else 1
-    xs = [Fraction(t - t * t) for t in range(1, k + 2)]
-    ys = [Fraction(sign * g.eval_int(t)) for t in range(1, k + 2)]
-    # Lagrange interpolation
-    coeffs = [Fraction(0)] * (k + 1)
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            new = [Fraction(0)] * (len(basis) + 1)
-            for t, b in enumerate(basis):
-                new[t] -= b * xj
-                new[t + 1] += b
-            basis = new
-            denom *= xi - xj
-        scale = yi / denom
-        for t, b in enumerate(basis):
-            coeffs[t] += scale * b
-    if any(c.denominator != 1 for c in coeffs):
+    rem = -g if k % 2 else g
+    u = IntPoly((0, 1, -1))
+    powers = [IntPoly.one()]
+    for _ in range(k):
+        powers.append(powers[-1] * u)
+    out = [0] * (k + 1)
+    for j in range(k, -1, -1):
+        c = rem[2 * j] * (-1) ** j
+        out[j] = c
+        if c:
+            rem = rem - powers[j] * c
+    if not rem.is_zero:
         return None
-    h = IntPoly(tuple(int(c) for c in coeffs))
-    if h.degree != k or pair_sum_trace_poly(h) != g:
-        return None
-    return h
+    return IntPoly(out)
 
 
 def _match_unit_pairs(boxes):

@@ -19,8 +19,8 @@ from .cyclo import SalemSeq, seq_poly, cyclotomic_progressions, ProgressionSet
 from .factorint import is_irreducible
 from .polyarith import (IntPoly, pair_sum_lift, trace, trace_lift,
                         trace_project)
-from .realroots import (EndpointIsRootError, RootBox, count_roots,
-                        cubic_salem_split, isolate_roots, refine,
+from .realroots import (EndpointIsRootError, RootBox, _poly_range,
+                        count_roots, cubic_salem_split, isolate_roots, refine,
                         sqrt_interval)
 
 _BETA_WIDTH = Fraction(1, 1 << 16)
@@ -214,17 +214,6 @@ def _floor_lt(x: Fraction) -> int:
     return math.ceil(x) - 1
 
 
-def _interval_eval(coeffs: list[Fraction], lo: Fraction, hi: Fraction):
-    """Range of a polynomial (descending coeffs) over [lo, hi], by interval
-    Horner; conservative but exact-rational."""
-    rlo = rhi = Fraction(0)
-    for c in coeffs:
-        a, b, cc, d = rlo * lo, rlo * hi, rhi * lo, rhi * hi
-        rlo = min(a, b, cc, d) + c
-        rhi = max(a, b, cc, d) + c
-    return rlo, rhi
-
-
 def window_poly_search(k: int) -> list[IntPoly]:
     """All monic integer h of degree k with k-1 roots in (-2, 1/4) and one
     root in (-6, -2).
@@ -246,22 +235,20 @@ def window_poly_search(k: int) -> list[IntPoly]:
         slope = math.factorial(k - m)
         known = [math.factorial(k - j) // math.factorial(m - j) * c
                  for j, c in enumerate([1] + coeffs)]
+        base = IntPoly([0] + known[::-1])
         lo_b = -_coeff_bound(k, m)
         hi_b = _coeff_bound(k, m)
         # D_m(1/4) > 0
-        val = sum(Fraction(c) * quarter ** (m - j) for j, c in enumerate(known))
-        lo_b = max(lo_b, _ceil_gt(-val / slope))
+        lo_b = max(lo_b, _ceil_gt(-base.eval_fraction(quarter) / slope))
         # (-1)^m * D_m(-6) > 0
-        val = sum(Fraction(c) * Fraction(-6) ** (m - j)
-                  for j, c in enumerate(known))
+        val = base.eval_fraction(-6)
         if m % 2 == 0:
             lo_b = max(lo_b, _ceil_gt(-val / slope))
         else:
             hi_b = min(hi_b, _floor_lt(-val / slope))
         # weak alternation at the critical points (roots of D_{m-1}, descending)
-        frac_known = [Fraction(c) for c in known] + [Fraction(0)]
         for idx, (blo, bhi) in enumerate(crit_boxes):
-            elo, ehi = _interval_eval(frac_known, blo, bhi)
+            elo, ehi = _poly_range(base, blo, bhi)
             if idx % 2 == 0:  # largest critical point first: need D_m <= 0
                 hi_b = min(hi_b, math.floor(-elo / slope))
             else:  # need D_m >= 0 somewhere in the box
@@ -276,7 +263,7 @@ def window_poly_search(k: int) -> list[IntPoly]:
                         and count_roots(h, -6, -2) == 1):
                     results.append(h)
                 continue
-            d_m = IntPoly(tuple(reversed(known + [0]))) + IntPoly((c * slope,))
+            d_m = base + IntPoly((c * slope,))
             try:
                 if count_roots(d_m, -6, quarter) != m:
                     continue

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from salemrel import cli
+from salemrel.polyarith import IntPoly, trace_lift
 
 DEG8 = "x^8-2x^7+x^6-2x^5+x^4-2x^3+x^2-2x+1"
 DEG12 = "x^12-4x^10-6x^9-2x^8+4x^7+7x^6+4x^5-2x^4-6x^3-4x^2+1"
@@ -58,6 +59,17 @@ def test_exit_code_verification_failure(capsys, monkeypatch):
 
 
 # -- document schema ----------------------------------------------------------------------
+
+
+def test_salem_check_huge_coefficients(capsys):
+    # the root bound's k-th roots of about 10^400 overflow a float
+    r = 10 ** 400
+    f = trace_lift(IntPoly((r + 1, r - 1, -(r + 1), 1)))
+    arg = "[" + ",".join(map(str, f.coeffs)) + "]"
+    code, doc = _run_json(capsys, ["salem-check", arg])
+    assert code == 0
+    assert doc["result"]["is_salem"] is True
+    assert len(doc["certificates"]) == 1
 
 
 def test_json_document_schema(capsys):

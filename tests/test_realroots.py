@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from salemrel.polyarith import IntPoly, trace_project
-from salemrel.realroots import (EndpointIsRootError, RootBox, count_roots,
-                                cubic_all_in_band, cubic_salem_split,
-                                isolate_roots, refine, root_bound,
-                                sqrt_interval, squarefree_part)
+from salemrel.realroots import (EndpointIsRootError, RootBox, _kth_root_ceil,
+                                count_roots, cubic_all_in_band,
+                                cubic_salem_split, isolate_roots, refine,
+                                root_bound, sqrt_interval, squarefree_part)
 
 _REAL_TOL = 1e-9      # |imag| below this counts as a real root
 _GUARD = 1e-4         # ambiguity band around endpoints and the real axis
@@ -148,6 +148,28 @@ def test_root_bound_contains_all_real_roots():
         p = _random_squarefree(rng, 8)
         bound = root_bound(p)
         assert count_roots(p, -bound, bound) == count_roots(p, None, None)
+
+
+def _kth_root_ceil_reference(m, k):
+    """Smallest t >= 0 with t**k >= m, by bisection on that predicate."""
+    lo, hi = 0, max(m, 0)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid ** k >= m:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def test_kth_root_ceil_matches_reference():
+    big = 10 ** 400  # far past the float range
+    grid = list(range(-3, 300)) + [big - 1, big, big + 1, 2 ** 1000,
+                                   (10 ** 40 + 1) ** 3]
+    for k in range(1, 13):
+        for m in grid:
+            assert _kth_root_ceil(m, k) == _kth_root_ceil_reference(m, k)
+    assert _kth_root_ceil(big, 8) == 10 ** 50
 
 
 # -- cubic window predicates vs exact counting ---------------------------------------

@@ -1,13 +1,17 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from salemrel.polyarith import IntPoly, pair_sum_trace_poly, trace_lift
 from salemrel.realroots import refine, sqrt_interval
 from salemrel.relations import (CERTIFIED_PAIRSUM, CERTIFIED_QUADSPLIT,
                                 CERTIFIED_TRACE, NUMERIC_ONLY,
-                                PairingViolation, RelationVector, certify,
+                                PairingViolation, RelationVector,
+                                _recover_window_poly, certify,
                                 find_relations, min_length_scan, pair_reduce)
+from salemrel.salemkit import salem_check, window_poly_search
 
 _SCALE_BITS = 160
 _BOX_EPS = Fraction(1, 1 << 170)
@@ -107,6 +111,28 @@ def test_certify_statuses(deg8_cert, deg12_cert):
 def test_certify_trace_on_sextics(sextic_certs):
     for cert in sextic_certs:
         assert certify(cert, (1, 1, 1)) == CERTIFIED_TRACE
+
+
+def test_certify_trace_poly_without_window_form():
+    # x^2-5x+1 interpolates to the non-monic h = -x - 3 at x(1-x) = 0, -2
+    cert = salem_check(trace_lift(IntPoly((1, -5, 1))))
+    assert cert
+    assert certify(cert, (1, 1)) == NUMERIC_ONLY
+    assert certify(cert, (1, -1)) == NUMERIC_ONLY
+
+
+def test_recover_window_poly_round_trip():
+    rng = random.Random(1905)
+    hs = window_poly_search(2) + window_poly_search(3)
+    hs += [IntPoly(tuple(rng.randint(-30, 30) for _ in range(k)) + (1,))
+           for k in range(1, 9) for _ in range(8)]
+    for h in hs:
+        g = pair_sum_trace_poly(h)
+        assert _recover_window_poly(g) == h
+        assert _recover_window_poly(g + IntPoly.x()) is None
+        assert _recover_window_poly(g * IntPoly.x()) is None  # odd degree
+        assert _recover_window_poly(g * 2) is None  # h would not be monic
+    assert _recover_window_poly(IntPoly((1, 0, 0, 1))) is None
 
 
 # -- relation search ----------------------------------------------------------------------
