@@ -102,6 +102,36 @@ def _rejection_doc(reason) -> dict:
 # -- verification helpers -----------------------------------------------------------
 
 
+# the interpolation oracle trial-divides values of the polynomial and searches
+# over their divisors, so its work grows with their size; past this bound on
+# them it can run for minutes, and it is skipped
+_ORACLE_MAX_VALUE = 1 << 32
+
+
+def _oracle_check(p: IntPoly, fac=None) -> list[str]:
+    """Compare fac, by default factor(p), with kronecker_factor_oracle(p) for
+    degree 1..8.
+
+    The oracle evaluates p at integers |x| <= reach = (deg + 3) // 2, where
+    |p(x)| <= sum |c_i| * reach^deg; when that bound passes
+    _ORACLE_MAX_VALUE the comparison is skipped with a note on stderr.
+    """
+    if not 1 <= p.degree <= 8:
+        return []
+    reach = (p.degree + 3) // 2
+    if sum(abs(c) for c in p.coeffs) * reach ** p.degree > _ORACLE_MAX_VALUE:
+        print("note: factorization oracle skipped: coefficients too large "
+              "for trial division", file=sys.stderr)
+        return []
+    if fac is None:
+        fac = factor(p)
+    oracle = kronecker_factor_oracle(p)
+    if sorted(q.coeffs for q, _ in fac.factors) != \
+            sorted(q.coeffs for q, _ in oracle.factors):
+        return ["factorization disagrees with the interpolation oracle"]
+    return []
+
+
 def _verify_certificate(cert: SalemCertificate) -> list[str]:
     fails = []
     f, g = cert.minpoly, cert.trace_poly
@@ -123,12 +153,7 @@ def _verify_certificate(cert: SalemCertificate) -> list[str]:
         fails.append("a beta box strays outside (-2, 2)")
     if f.sign_at(cert.alpha.lo) * f.sign_at(cert.alpha.hi) >= 0:
         fails.append("alpha box does not bracket a sign change of minpoly")
-    if g.degree <= 8:
-        mine = factor(g)
-        oracle = kronecker_factor_oracle(g)
-        if sorted(p.coeffs for p, _ in mine.factors) != \
-                sorted(p.coeffs for p, _ in oracle.factors):
-            fails.append("factorization disagrees with the interpolation oracle")
+    fails.extend(_oracle_check(g))
     return fails
 
 
@@ -136,11 +161,7 @@ def _verify_factorization(p: IntPoly, fac) -> list[str]:
     fails = []
     if fac.expand() != p:
         fails.append("product of factors does not reproduce the input")
-    if 1 <= p.degree <= 8:
-        oracle = kronecker_factor_oracle(p)
-        if sorted(q.coeffs for q, _ in fac.factors) != \
-                sorted(q.coeffs for q, _ in oracle.factors):
-            fails.append("factorization disagrees with the interpolation oracle")
+    fails.extend(_oracle_check(p, fac))
     return fails
 
 

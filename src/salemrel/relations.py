@@ -14,15 +14,20 @@ to zero.  Everything else stays labelled numeric_only.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .polyarith import IntPoly
-from .realroots import _poly_range, refine, sqrt_interval
+from .realroots import _poly_range, refine
 from .salemkit import SalemCertificate
 
 MAX_LENGTH_LIMIT = 24
+# screening may refine every beta box to width 2^-(4*precision_bits), and the
+# cost of that refinement and of the Fraction sums grows faster than linearly
+# in precision_bits; the bound is 16 times the default
+_MAX_PRECISION_BITS = 1024
 
 CERTIFIED_TRACE = "certified_trace"
 CERTIFIED_PAIRSUM = "certified_pairsum"
@@ -87,11 +92,6 @@ def _interleave(reduced: tuple[int, ...]) -> RelationVector:
 # -- interval helpers ---------------------------------------------------------------
 
 
-def _mul_range(alo, ahi, blo, bhi):
-    prods = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
-    return min(prods), max(prods)
-
-
 def _sum_interval(boxes, reduced):
     lo = hi = Fraction(0)
     for m, box in zip(reduced, boxes):
@@ -102,10 +102,6 @@ def _sum_interval(boxes, reduced):
             lo += m * box.hi
             hi += m * box.lo
     return lo, hi
-
-
-def _refined(boxes, width: Fraction):
-    return [refine(b, width) for b in boxes]
 
 
 # -- exact certification patterns ---------------------------------------------------
@@ -135,38 +131,6 @@ def _recover_window_poly(g: IntPoly):
     if not rem.is_zero:
         return None
     return IntPoly(out)
-
-
-def _match_unit_pairs(boxes):
-    """Partition indices into pairs with beta_i + beta_j = 1, by refining the
-    boxes until the candidate assignment is a unique perfect matching."""
-    boxes = list(boxes)
-    for _ in range(64):
-        cands = []
-        for i, bi in enumerate(boxes):
-            cands.append({j for j, bj in enumerate(boxes)
-                          if j != i and bi.lo + bj.lo <= 1 <= bi.hi + bj.hi})
-        if all(len(c) == 1 for c in cands):
-            pairs = []
-            seen = set()
-            ok = True
-            for i, c in enumerate(cands):
-                j = next(iter(c))
-                if i in seen or j in seen:
-                    if (min(i, j), max(i, j)) not in pairs:
-                        ok = False
-                        break
-                    continue
-                if i not in cands[j]:
-                    ok = False
-                    break
-                pairs.append((min(i, j), max(i, j)))
-                seen.update((i, j))
-            if ok and len(pairs) * 2 == len(boxes):
-                return tuple(pairs)
-        boxes = [refine(b, b.width / 4 if b.exact is None else Fraction(1))
-                 for b in boxes]
-    return None
 
 
 def _poly_sqrt(r: IntPoly):
@@ -200,116 +164,88 @@ def _find_quadsplit(g: IntPoly):
     The three top coefficients of p are forced by g; any remaining low
     coefficients are swept over the bounded box.
     """
-    if g.degree % 2 != 0:
-        return None
     K = g.degree // 2
-    if K < 2:
-        return None
-    top = [0] * 3
-    if g[2 * K - 1] != 0:
+    if g.degree % 2 or K < 2 or g[2 * K - 1] != 0:
         return None  # p's subleading coefficient could not be zero
-    if g[2 * K - 2] % 2:
-        return None
-    top[1] = g[2 * K - 2] // 2
-    if K >= 3:
-        if g[2 * K - 3] % 2:
+    # with p = x^K + a*x^(K-2) + b*x^(K-3) + ..., g = p^2 - m*q^2 has
+    # coefficients 2a at x^(2K-2) and 2b at x^(2K-3), since deg q <= K-2
+    forced = {K - 1: 0}
+    for i in range(max(K - 3, 0), K - 1):
+        if g[K + i] % 2:
             return None
-        top[2] = g[2 * K - 3] // 2
-    forced = {K - 1: 0, K - 2: top[1]}
-    if K >= 3:
-        forced[K - 3] = top[2]
+        forced[i] = g[K + i] // 2
     free_idx = [i for i in range(K - 1, -1, -1) if i not in forced]
     if len(free_idx) > 2:
         return None  # sweep grows as 129^free; stay at desk scale
     if any(abs(c) > _QUADSPLIT_COEFF for c in forced.values()):
         return None
-
-    def build(vals):
-        coeffs = [0] * (K + 1)
-        coeffs[K] = 1
-        for i, c in forced.items():
-            coeffs[i] = c
+    coeffs = [0] * K + [1]
+    for i, c in forced.items():
+        coeffs[i] = c
+    span = range(-_QUADSPLIT_COEFF, _QUADSPLIT_COEFF + 1)
+    for vals in itertools.product(span, repeat=len(free_idx)):
         for i, c in zip(free_idx, vals):
             coeffs[i] = c
-        return IntPoly(tuple(coeffs))
-
-    def sweep(vals):
-        if len(vals) == len(free_idx):
-            p = build(vals)
-            r = p * p - g
-            if r.is_zero or r.degree > 2 * K - 4:
-                return None
-            for m in _QUADSPLIT_M:
-                if any(c % m for c in r.coeffs):
-                    continue
-                q = _poly_sqrt(IntPoly(tuple(c // m for c in r.coeffs)))
-                if q is None:
-                    continue
-                if any(abs(c) > _QUADSPLIT_COEFF for c in q.coeffs):
-                    continue
-                return p, q, m
-            return None
-        for c in range(-_QUADSPLIT_COEFF, _QUADSPLIT_COEFF + 1):
-            hit = sweep(vals + [c])
-            if hit is not None:
-                return hit
-        return None
-
-    return sweep([])
+        p = IntPoly(tuple(coeffs))
+        r = p * p - g
+        if r.is_zero or r.degree > 2 * K - 4:
+            continue
+        for m in _QUADSPLIT_M:
+            if any(c % m for c in r.coeffs):
+                continue
+            q = _poly_sqrt(IntPoly(tuple(c // m for c in r.coeffs)))
+            if q is None:
+                continue
+            if any(abs(c) > _QUADSPLIT_COEFF for c in q.coeffs):
+                continue
+            return p, q, m
+    return None
 
 
-def _split_groups(boxes, p: IntPoly, q: IntPoly, m: int):
-    """Indices of the betas rooting p + sqrt(m)*q, or None if the split fails.
+def _split_groups(boxes, p: IntPoly, q: IntPoly) -> frozenset:
+    """Indices of the betas rooting p + sqrt(m)*q, where g = p^2 - m*q^2.
 
-    Each beta is a root of exactly one of p +- sqrt(m)*q; interval arithmetic
-    decides which, with refinement until the verdict is unambiguous.
+    At a root of p + sqrt(m)*q the product p*q equals -sqrt(m)*q^2 < 0, and
+    at a root of p - sqrt(m)*q it equals +sqrt(m)*q^2 > 0.  It never vanishes
+    at a beta: a common root of p and q would be a double root of g, which is
+    irreducible.  So each box is refined until the range of p*q excludes 0,
+    and the sign names the group.
     """
-    slo, shi = sqrt_interval(m, m, 160)
+    r = p * q
     group_a = set()
     for idx, box in enumerate(boxes):
-        for _ in range(64):
-            plo, phi = _poly_range(p, box.lo, box.hi)
-            qlo, qhi = _poly_range(q, box.lo, box.hi)
-            tlo, thi = _mul_range(slo, shi, qlo, qhi)
-            in_a = plo + tlo <= 0 <= phi + thi
-            in_b = plo - thi <= 0 <= phi - tlo
-            if in_a != in_b:
-                if in_a:
-                    group_a.add(idx)
+        while True:
+            lo, hi = _poly_range(r, box.lo, box.hi)
+            if hi < 0 or lo > 0:
                 break
-            if not in_a:
-                return None
-            if box.exact is not None:
-                return None
             box = refine(box, box.width / 4)
-        else:
-            return None
+        if hi < 0:
+            group_a.add(idx)
     return frozenset(group_a)
 
 
 @dataclass(frozen=True)
 class _CertStructures:
     pairing: tuple[tuple[int, int], ...] | None  # index pairs with sum 1
-    window_poly: IntPoly | None
-    quadsplit: tuple[IntPoly, IntPoly, int] | None
-    group_a: frozenset | None
+    group_a: frozenset | None  # betas rooting p + sqrt(m)*q
 
 
 def _structures(cert: SalemCertificate) -> _CertStructures:
     g = cert.trace_poly
     pairing = None
-    h = _recover_window_poly(g)
-    if h is not None:
-        pairing = _match_unit_pairs(cert.beta_boxes)
-        if pairing is None:
-            h = None
-    quad = _find_quadsplit(g)
+    if _recover_window_poly(g) is not None:
+        # g = +-h(x - x^2) is fixed by x -> 1 - x, which maps the roots of g
+        # onto themselves and reverses their order; beta_boxes is descending,
+        # so beta_i + beta_(s-1-i) = 1.  No beta is the fixed point 1/2,
+        # because g is irreducible of degree >= 2.
+        s = len(cert.beta_boxes)
+        pairing = tuple((i, s - 1 - i) for i in range(s // 2))
     group_a = None
+    quad = _find_quadsplit(g)
     if quad is not None:
-        group_a = _split_groups(cert.beta_boxes, *quad)
-        if group_a is None:
-            quad = None
-    return _CertStructures(pairing, h, quad, group_a)
+        p, q, _ = quad
+        group_a = _split_groups(cert.beta_boxes, p, q)
+    return _CertStructures(pairing, group_a)
 
 
 def _certify_reduced(cert: SalemCertificate, reduced, st: _CertStructures) -> str:
@@ -362,19 +298,26 @@ def _reduced_vectors(s: int, max_sum: int):
     yield from rec(0, max_sum, False)
 
 
-def _screen(boxes, fine_boxes_ref, reduced, precision_bits: int, cert):
-    lo, hi = _sum_interval(boxes, reduced)
-    if lo <= 0 <= hi:
-        return True
-    gap = lo if lo > 0 else -hi
-    if gap >= Fraction(1, 1 << (precision_bits // 2)):
-        return False
-    # near-miss: one escalation to doubly refined boxes, then final verdict
-    if fine_boxes_ref[0] is None:
-        fine_boxes_ref[0] = _refined(cert.beta_boxes,
-                                     Fraction(1, 1 << (4 * precision_bits)))
-    lo, hi = _sum_interval(fine_boxes_ref[0], reduced)
-    return lo <= 0 <= hi
+def _survivors(cert: SalemCertificate, max_sum: int, precision_bits: int):
+    """The reduced vectors with sum |m_j| <= max_sum whose beta sum encloses 0
+    on boxes of width 2^-(2*precision_bits)."""
+    boxes = [refine(b, Fraction(1, 1 << (2 * precision_bits)))
+             for b in cert.beta_boxes]
+    near = Fraction(1, 1 << (precision_bits // 2))
+    fine_boxes = None
+    for reduced in _reduced_vectors(len(boxes), max_sum):
+        lo, hi = _sum_interval(boxes, reduced)
+        if not lo <= 0 <= hi:
+            if (lo if lo > 0 else -hi) >= near:
+                continue
+            # near miss: one escalation to finer boxes, then the final verdict
+            if fine_boxes is None:
+                fine_boxes = [refine(b, Fraction(1, 1 << (4 * precision_bits)))
+                              for b in cert.beta_boxes]
+            lo, hi = _sum_interval(fine_boxes, reduced)
+            if not lo <= 0 <= hi:
+                continue
+        yield reduced
 
 
 def find_relations(cert: SalemCertificate, max_length: int,
@@ -384,19 +327,16 @@ def find_relations(cert: SalemCertificate, max_length: int,
     Screens every reduced vector with 2*sum|m_j| <= max_length against the
     refined beta boxes, then attaches an exact certification status; the
     constant vector appears (flagged trivial) exactly when the trace is 0.
+    precision_bits must lie in [1, 1024].
     """
     if not 1 <= max_length <= MAX_LENGTH_LIMIT:
         raise ValueError(f"max_length must be in [1, {MAX_LENGTH_LIMIT}]")
-    if precision_bits < 1:
-        raise ValueError("precision_bits must be positive")
-    s = len(cert.beta_boxes)
-    boxes = _refined(cert.beta_boxes, Fraction(1, 1 << (2 * precision_bits)))
-    fine_ref = [None]
+    if not 1 <= precision_bits <= _MAX_PRECISION_BITS:
+        raise ValueError(
+            f"precision_bits must be in [1, {_MAX_PRECISION_BITS}]")
     st = None
     reports = []
-    for reduced in _reduced_vectors(s, max_length // 2):
-        if not _screen(boxes, fine_ref, reduced, precision_bits, cert):
-            continue
+    for reduced in _survivors(cert, max_length // 2, precision_bits):
         if st is None:
             st = _structures(cert)
         status = _certify_reduced(cert, reduced, st)
@@ -415,13 +355,5 @@ def min_length_scan(cert: SalemCertificate, bound: int) -> bool:
     bound survives screening at 128-bit precision."""
     if not 1 <= bound <= MAX_LENGTH_LIMIT:
         raise ValueError(f"bound must be in [1, {MAX_LENGTH_LIMIT}]")
-    precision_bits = 128
-    s = len(cert.beta_boxes)
-    boxes = _refined(cert.beta_boxes, Fraction(1, 1 << (2 * precision_bits)))
-    fine_ref = [None]
-    for reduced in _reduced_vectors(s, (bound - 1) // 2):
-        if all(c == reduced[0] for c in reduced):
-            continue
-        if _screen(boxes, fine_ref, reduced, precision_bits, cert):
-            return False
-    return True
+    return all(len(set(reduced)) == 1
+               for reduced in _survivors(cert, (bound - 1) // 2, 128))

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -70,6 +71,22 @@ def test_salem_check_huge_coefficients(capsys):
     assert code == 0
     assert doc["result"]["is_salem"] is True
     assert len(doc["certificates"]) == 1
+
+
+def test_salem_check_verify_skips_costly_oracle(capsys):
+    # the factorization oracle would trial-divide values near 10^21
+    r = 10 ** 20
+    f = trace_lift(IntPoly((r + 1, r - 1, -(r + 1), 1)))
+    arg = "[" + ",".join(map(str, f.coeffs)) + "]"
+    start = time.monotonic()
+    assert cli.run(["salem-check", arg, "--verify"]) == 0
+    assert time.monotonic() - start < 20
+    captured = capsys.readouterr()
+    assert "verified: all cross-checks passed" in captured.out
+    assert "factorization oracle skipped" in captured.err
+    # small trace polynomials still go through the oracle
+    assert cli.run(["salem-check", DEG8, "--verify"]) == 0
+    assert "skipped" not in capsys.readouterr().err
 
 
 def test_json_document_schema(capsys):

@@ -5,13 +5,14 @@ from fractions import Fraction
 import pytest
 
 from salemrel.polyarith import IntPoly, pair_sum_trace_poly, trace_lift
-from salemrel.realroots import refine, sqrt_interval
+from salemrel.realroots import _poly_range, refine, sqrt_interval
 from salemrel.relations import (CERTIFIED_PAIRSUM, CERTIFIED_QUADSPLIT,
                                 CERTIFIED_TRACE, NUMERIC_ONLY,
                                 PairingViolation, RelationVector,
-                                _recover_window_poly, certify,
-                                find_relations, min_length_scan, pair_reduce)
-from salemrel.salemkit import salem_check, window_poly_search
+                                _find_quadsplit, _recover_window_poly,
+                                _structures, certify, find_relations,
+                                min_length_scan, pair_reduce)
+from salemrel.salemkit import pair_sum_enum, salem_check, window_poly_search
 
 _SCALE_BITS = 160
 _BOX_EPS = Fraction(1, 1 << 170)
@@ -135,6 +136,51 @@ def test_recover_window_poly_round_trip():
     assert _recover_window_poly(IntPoly((1, 0, 0, 1))) is None
 
 
+def _structure_certs(deg12_cert):
+    return ([(c, True) for c in pair_sum_enum(2).salem + pair_sum_enum(3).salem]
+            + [(deg12_cert, False)])
+
+
+def test_exact_pairing_sums_to_one_on_refined_boxes(deg12_cert):
+    # the pairing is read off the order of the betas; 2^-100 boxes confirm it
+    eps = Fraction(1, 1 << 100)
+    for cert, has_pairing in _structure_certs(deg12_cert):
+        pairing = _structures(cert).pairing
+        assert (pairing is not None) == has_pairing
+        if pairing is None:
+            continue
+        s = len(cert.beta_boxes)
+        assert sorted(i for pair in pairing for i in pair) == list(range(s))
+        boxes = [refine(b, eps) for b in cert.beta_boxes]
+        for i, j in pairing:
+            assert boxes[i].lo + boxes[j].lo <= 1 <= boxes[i].hi + boxes[j].hi
+
+
+def test_exact_groups_root_the_quadsplit_factor(deg12_cert):
+    # group A is read off the sign of p*q; p + sqrt(m)*q must vanish on
+    # exactly those 2^-100 boxes
+    eps = Fraction(1, 1 << 100)
+    split = 0
+    for cert, _ in _structure_certs(deg12_cert):
+        group_a = _structures(cert).group_a
+        quad = _find_quadsplit(cert.trace_poly)
+        assert (group_a is None) == (quad is None)
+        if quad is None:
+            continue
+        split += 1
+        p, q, m = quad
+        slo, shi = sqrt_interval(m, m, 200)
+        assert 0 < len(group_a) < len(cert.beta_boxes)
+        for idx, box in enumerate(cert.beta_boxes):
+            box = refine(box, eps)
+            plo, phi = _poly_range(p, box.lo, box.hi)
+            qlo, qhi = _poly_range(q, box.lo, box.hi)
+            prods = (slo * qlo, slo * qhi, shi * qlo, shi * qhi)
+            encloses = plo + min(prods) <= 0 <= phi + max(prods)
+            assert encloses == (idx in group_a)
+    assert split >= 1
+
+
 # -- relation search ----------------------------------------------------------------------
 
 
@@ -183,6 +229,15 @@ def test_argument_validation(deg8_cert):
             min_length_scan(deg8_cert, bad)
     with pytest.raises(ValueError):
         find_relations(deg8_cert, 8, precision_bits=0)
+
+
+def test_precision_bits_capped(deg8_cert):
+    # screening cost grows steeply with precision, so large values are
+    # refused before any box is refined
+    for bad in (1025, 4096, 10 ** 6):
+        with pytest.raises(ValueError):
+            find_relations(deg8_cert, 8, precision_bits=bad)
+    assert len(find_relations(deg8_cert, 2, precision_bits=1024)) == 0
 
 
 def test_screening_stable_under_higher_precision(deg8_cert, deg12_cert):
