@@ -33,6 +33,20 @@ class _InputError(Exception):
     pass
 
 
+# caps on the size arguments, checked before any work starts: each command's
+# time and memory grow with them without limit (on 2 cores, seq --n 10**6
+# takes about 1.5 s, bad-degrees --max-degree 10**6 about 2.5 s and 5 MB of
+# output, trace0 --degree 400 25-35 s and --degree 1000 over 2 minutes)
+_MAX_SEQ_N = 10 ** 6
+_MAX_BAD_DEGREE = 10 ** 6
+_MAX_TRACE0_DEGREE = 400
+
+
+def _check_cap(flag: str, value: int, cap: int) -> None:
+    if value > cap:
+        raise _InputError(f"{flag} must be at most {cap}")
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     # argparse exits with 2 on bad usage; the contract wants 1 for input errors
     def error(self, message):
@@ -306,6 +320,7 @@ def _cmd_cyclotomic_factors(args):
 
 
 def _cmd_seq(args):
+    _check_cap("--n", args.n, _MAX_SEQ_N)
     seq = FAMILIES[args.family - 1]
     g = seq_poly(seq, args.n)
     lines = [format_poly(g)]
@@ -324,6 +339,7 @@ def _cmd_seq(args):
 
 
 def _cmd_bad_degrees(args):
+    _check_cap("--max-degree", args.max_degree, _MAX_BAD_DEGREE)
     rep = bad_degrees(args.family, args.max_degree)
     result = {
         "family": rep.family,
@@ -362,6 +378,7 @@ def _cmd_bad_degrees(args):
 
 
 def _cmd_trace0(args):
+    _check_cap("--degree", args.degree, _MAX_TRACE0_DEGREE)
     det = trace0_salem_detail(args.degree)
     cert = det.certificate
     result = {

@@ -142,15 +142,12 @@ def cyclotomic_part(p: IntPoly) -> list[CyclotomicHit]:
         q = cyclotomic(order)
         if q.degree > deg:
             continue
-        if (p % q).is_zero:
-            mult = 0
-            r = p
-            while True:
-                quo, rem = divmod(r, q)
-                if not rem.is_zero:
-                    break
-                mult += 1
-                r = quo
+        mult = 0
+        quo, rem = divmod(p, q)
+        while rem.is_zero:
+            mult += 1
+            quo, rem = divmod(quo, q)
+        if mult:
             hits.append(CyclotomicHit(order, mult))
     return hits
 

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polyarith import IntPoly, div_exact, poly_gcd
+from .polyarith import IntPoly, _signed_content, div_exact, poly_gcd
 
 
 class DegreeTooLargeError(ValueError):
@@ -42,16 +42,6 @@ class Factorization:
     @property
     def factor_count(self) -> int:
         return sum(mult for _, mult in self.factors)
-
-
-def _signed_content(p: IntPoly) -> tuple[int, IntPoly]:
-    """(c, q) with p == c*q, q primitive with positive leading coefficient."""
-    c = p.content()
-    q = p.primitive_part()
-    if q.lc < 0:
-        c = -c
-        q = -q
-    return c, q
 
 
 def squarefree_decomposition(p: IntPoly) -> list[tuple[IntPoly, int]]:
@@ -232,26 +222,10 @@ def _gp_factor_monic_squarefree(f, p, rng):
 
 # -- Z/m arithmetic for Hensel lifting -------------------------------------------
 #
-# _gp_add/_gp_sub/_gp_mul never invert, so they serve any modulus; only
-# division needs its own form, since a composite modulus leaves just a monic
-# divisor safe to divide by.
-
-
-def _zm_divmod_monic(a, b, m):
-    if not b or b[-1] != 1:
-        raise ValueError("monic divisor required")
-    r = [c % m for c in a]
-    db = len(b) - 1
-    if len(r) - 1 < db:
-        return [], _gp_trim(r)
-    q = [0] * (len(r) - db)
-    for i in range(len(r) - 1, db - 1, -1):
-        c = r[i]
-        if c:
-            q[i - db] = c
-            for j, bc in enumerate(b):
-                r[i - db + j] = (r[i - db + j] - c * bc) % m
-    return _gp_trim(q), _gp_trim(r[:db])
+# The _gp_ routines serve any modulus m, prime or not: only _gp_divmod
+# inverts, and only the divisor's leading coefficient.  Hensel lifting divides
+# by the monic h, and pow(1, -1, m) == 1 for every m; a non-monic divisor with
+# no inverse modulo m raises ValueError.
 
 
 def _hensel_step(f, g, h, s, t, m):
@@ -262,11 +236,11 @@ def _hensel_step(f, g, h, s, t, m):
     mm = m * m
     fm = [c % mm for c in f]
     e = _gp_sub(fm, _gp_mul(g, h, mm), mm)
-    q, r = _zm_divmod_monic(_gp_mul(s, e, mm), h, mm)
+    q, r = _gp_divmod(_gp_mul(s, e, mm), h, mm)
     g1 = _gp_add(g, _gp_add(_gp_mul(t, e, mm), _gp_mul(q, g, mm), mm), mm)
     h1 = _gp_add(h, r, mm)
     b = _gp_sub(_gp_add(_gp_mul(s, g1, mm), _gp_mul(t, h1, mm), mm), [1], mm)
-    c, d = _zm_divmod_monic(_gp_mul(s, b, mm), h1, mm)
+    c, d = _gp_divmod(_gp_mul(s, b, mm), h1, mm)
     s1 = _gp_sub(s, d, mm)
     t1 = _gp_sub(t, _gp_add(_gp_mul(t, b, mm), _gp_mul(c, g1, mm), mm), mm)
     return g1, h1, s1, t1
@@ -405,7 +379,7 @@ def _monicize(f: IntPoly) -> tuple[IntPoly, int]:
 
 def _demonicize(g: IntPoly, lam: int) -> IntPoly:
     coeffs = tuple(c * lam ** i for i, c in enumerate(g.coeffs))
-    return IntPoly(coeffs).primitive_part()
+    return _signed_content(IntPoly(coeffs))[1]
 
 
 def _factor_squarefree(f: IntPoly) -> list[IntPoly]:
@@ -416,9 +390,6 @@ def _factor_squarefree(f: IntPoly) -> list[IntPoly]:
         return sorted(_factor_monic_squarefree(f), key=IntPoly.sort_key)
     big, lam = _monicize(f)
     parts = [_demonicize(g, lam) for g in _factor_monic_squarefree(big)]
-    for i, part in enumerate(parts):
-        if part.lc < 0:
-            parts[i] = -part
     return sorted(parts, key=IntPoly.sort_key)
 
 

@@ -4,8 +4,9 @@ Grammar:
     expr := term (('+'|'-') term)*
     term := [integer]['x'['^' natural]]
 with an optional sign on the first term, insignificant whitespace, and the
-alternative bracketed ascending coefficient list "[c0,c1,...]".  Parsing the
-canonical printed form returns the same polynomial.
+alternative bracketed ascending coefficient list "[c0,c1,...]".  Exponents
+are at most 10**6.  Parsing the canonical printed form returns the same
+polynomial.
 """
 
 from __future__ import annotations
@@ -13,6 +14,12 @@ from __future__ import annotations
 from .polyarith import IntPoly, format_poly
 
 __all__ = ["EmptyInput", "parse_poly", "format_poly"]
+
+
+# the dense coefficient tuple has exponent + 1 entries: x^1000000 takes about
+# a second to build and print, x^99999999999 exhausts memory or runs for
+# minutes before any command can start
+_MAX_EXPONENT = 10 ** 6
 
 
 class EmptyInput(ValueError):
@@ -122,7 +129,11 @@ def parse_poly(text: str) -> IntPoly:
                 if sc.pos < len(text) and text[sc.pos] == "-":
                     raise _syntax_error(text, sc.pos,
                                         "negative exponent not allowed")
+                exp_start = sc.pos
                 power = sc.natural("exponent")
+                if power > _MAX_EXPONENT:
+                    raise _syntax_error(text, exp_start,
+                                        f"exponent exceeds {_MAX_EXPONENT}")
         if coeff is None:
             if power == 0 and sc.pos == term_start:
                 raise _syntax_error(text, sc.pos, "expected term")

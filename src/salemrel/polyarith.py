@@ -185,24 +185,7 @@ class IntPoly:
         """
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        dp, dq = len(self._coeffs) - 1, len(other._coeffs) - 1
-        if dp < dq:
-            return IntPoly(), self
-        lcq = other.lc
-        den = other._coeffs
-        rem = list(self._coeffs)
-        quo = [0] * (dp - dq + 1)
-        for k in range(dp - dq, -1, -1):
-            if lcq != 1:
-                for i in range(len(rem)):
-                    rem[i] *= lcq
-                for i in range(len(quo)):
-                    quo[i] *= lcq
-            q_c = rem[k + dq] // lcq if lcq != 1 else rem[k + dq]
-            quo[k] += q_c
-            if q_c:
-                for i in range(dq + 1):
-                    rem[k + i] -= q_c * den[i]
+        quo, rem = _pseudo_divmod(self._coeffs, other._coeffs)
         return IntPoly(quo), IntPoly(rem)
 
     def __floordiv__(self, other: "IntPoly") -> "IntPoly":
@@ -320,19 +303,34 @@ def format_poly(p: IntPoly) -> str:
 # -- gcd ------------------------------------------------------------------------
 
 
-def _pseudo_rem(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Pseudo-remainder prem(a, b) with multiplier lc(b)**(deg a - deg b + 1)."""
-    da, db = len(a) - 1, len(b) - 1
-    lcb = b[-1]
-    rem = list(a)
-    for k in range(da - db, -1, -1):
-        for i in range(len(rem)):
-            rem[i] *= lcb
-        head = rem[k + db]
-        q_c = head // lcb
-        for i in range(db + 1):
-            rem[k + i] -= q_c * b[i]
-    return _trim(rem)
+def _long_div(num: tuple[int, ...], den: tuple[int, ...]):
+    """Long division of nonzero den into num over Z: trimmed (quo, rem).
+
+    Returns None as soon as lc(den) does not divide a leading term, since
+    the quotient over Q has then left Z[x].
+    """
+    dq = len(den) - 1
+    lc = den[-1]
+    rem = list(num)
+    quo = [0] * max(len(rem) - dq, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        head = rem[k + dq]
+        if head:
+            c, r = divmod(head, lc)
+            if r:
+                return None
+            quo[k] = c
+            for i in range(dq):
+                rem[k + i] -= c * den[i]
+    return _trim(quo), _trim(rem[:dq])
+
+
+def _pseudo_divmod(a: tuple[int, ...], b: tuple[int, ...]):
+    """(quo, rem) of lc(b)**(deg a - deg b + 1) * a by b; every step is exact."""
+    if b[-1] != 1 and len(a) >= len(b):
+        scale = b[-1] ** (len(a) - len(b) + 1)
+        a = tuple(c * scale for c in a)
+    return _long_div(a, b)
 
 
 def _subresultant_prs(a: tuple[int, ...], b: tuple[int, ...]):
@@ -346,7 +344,7 @@ def _subresultant_prs(a: tuple[int, ...], b: tuple[int, ...]):
     g = h = 1
     while len(b) > 1:
         delta = len(a) - len(b)
-        r = _pseudo_rem(a, b)
+        r = _pseudo_divmod(a, b)[1]
         if not r:
             return
         divisor = g * h ** delta
@@ -368,9 +366,9 @@ def poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
     if p.is_zero and q.is_zero:
         return IntPoly()
     if p.is_zero:
-        return _pos_primitive(q)
+        return _signed_content(q)[1]
     if q.is_zero:
-        return _pos_primitive(p)
+        return _signed_content(p)[1]
     a = p.primitive_part().coeffs
     b = q.primitive_part().coeffs
     if len(a) < len(b):
@@ -380,42 +378,27 @@ def poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
     if len(b) == 1:
         # nonzero constant: coprime over Q
         return IntPoly((1,))
-    return _pos_primitive(IntPoly(b))
+    return _signed_content(IntPoly(b))[1]
 
 
-def _pos_primitive(p: IntPoly) -> IntPoly:
-    pp = p.primitive_part()
-    return -pp if pp.lc < 0 else pp
+def _signed_content(p: IntPoly) -> tuple[int, IntPoly]:
+    """(c, q) with p == c*q, q primitive with positive leading coefficient."""
+    c = p.content()
+    if p.lc < 0:
+        c = -c
+    if c in (0, 1):
+        return c, p
+    return c, IntPoly(tuple(a // c for a in p.coeffs))
 
 
 def div_exact(p: IntPoly, q: IntPoly) -> IntPoly:
     """Exact quotient p/q over Q, required to land back in Z[x]."""
     if q.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
-    num = [Fraction(c) for c in p.coeffs]
-    den = q.coeffs
-    dq = len(den) - 1
-    dp = len(num) - 1
-    if dp < dq:
-        if p.is_zero:
-            return IntPoly()
+    out = _long_div(p.coeffs, q.coeffs)
+    if out is None or out[1]:
         raise ValueError("division is not exact")
-    lcq = Fraction(den[-1])
-    quo = [Fraction(0)] * (dp - dq + 1)
-    for k in range(dp - dq, -1, -1):
-        c = num[k + dq] / lcq
-        quo[k] = c
-        if c:
-            for i in range(dq + 1):
-                num[k + i] -= c * den[i]
-    if any(num):
-        raise ValueError("division is not exact")
-    out = []
-    for c in quo:
-        if c.denominator != 1:
-            raise ValueError("exact quotient has non-integer coefficients")
-        out.append(int(c))
-    return IntPoly(out)
+    return IntPoly(out[0])
 
 
 # -- trace-polynomial transforms ---------------------------------------------------

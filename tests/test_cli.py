@@ -260,6 +260,37 @@ def test_parse_command(capsys):
     assert doc["result"]["poly"]["display"] == "x^2+1"
 
 
+# -- size caps: each is checked before any work starts ----------------------------------
+
+
+def test_seq_n_capped(capsys):
+    # without the cap this ran out of memory building a 10^8-term member
+    assert cli.run(["seq", "--family", "1", "--n", "100000000"]) == 1
+    assert capsys.readouterr().err == "error: --n must be at most 1000000\n"
+
+
+def test_bad_degrees_max_degree_capped(capsys):
+    assert cli.run(["bad-degrees", "--family", "1",
+                    "--max-degree", "1000001"]) == 1
+    assert capsys.readouterr().err == \
+        "error: --max-degree must be at most 1000000\n"
+
+
+def test_trace0_degree_capped(capsys):
+    for degree in ("402", "100000"):
+        assert cli.run(["trace0", "--degree", degree]) == 1
+        assert capsys.readouterr().err == \
+            "error: --degree must be at most 400\n"
+
+
+def test_parse_exponent_capped(capsys):
+    assert cli.run(["parse", "x^99999999999"]) == 1
+    assert capsys.readouterr().err == \
+        "error: exponent exceeds 1000000 at offset 2\n"
+    assert cli.run(["parse", "x^1000000"]) == 0
+    capsys.readouterr()
+
+
 # -- input plumbing ---------------------------------------------------------------------
 
 
