@@ -300,7 +300,7 @@ def format_poly(p: IntPoly) -> str:
     return "".join(parts)
 
 
-# -- gcd ------------------------------------------------------------------------
+# -- division and gcd -----------------------------------------------------------
 
 
 def _long_div(num: tuple[int, ...], den: tuple[int, ...]):
@@ -320,6 +320,7 @@ def _long_div(num: tuple[int, ...], den: tuple[int, ...]):
             if r:
                 return None
             quo[k] = c
+            # rem[k + dq] cancels and is never read again
             for i in range(dq):
                 rem[k + i] -= c * den[i]
     return _trim(quo), _trim(rem[:dq])
