@@ -2,7 +2,9 @@
 
 Every pipeline is exposed as a subcommand; output is human-readable text by
 default or a single JSON document with --json.  Exit codes: 0 success, 1 input
-error, 2 cross-check failure under --verify.
+error (an OverflowError or RecursionError included), 2 cross-check failure
+under --verify or a failed internal exact check (AssertionError,
+ConstructionFailed).
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from .polyarith import (IntPoly, NotReciprocalError, OddDegreeError,
                         poly_gcd, trace_lift, trace_project)
 from .realroots import count_roots, refine
 from .relations import _sum_interval, find_relations
-from .salemkit import (FAMILIES, SalemCertificate, bad_degrees,
-                       enum_deg6_trace0_detail, pair_sum_enum, salem_check,
-                       trace0_salem_detail)
+from .salemkit import (FAMILIES, ConstructionFailed, SalemCertificate,
+                       bad_degrees, enum_deg6_trace0_detail, pair_sum_enum,
+                       salem_check, trace0_salem_detail)
 
 _APPROX_NOTE = "approximate (12 significant digits)"
 
@@ -613,7 +615,13 @@ def _check_threads_env() -> None:
     # a no-op so pipelines can set it unconditionally
 
 
-def run(argv=None) -> int:
+def _one_line(exc: BaseException) -> str:
+    """Exception class and the first line of its message."""
+    lines = str(exc).splitlines()
+    return f"{type(exc).__name__}: {lines[0]}" if lines else type(exc).__name__
+
+
+def _run(argv) -> int:
     parser = _build_parser()
     try:
         _check_threads_env()
@@ -654,6 +662,20 @@ def run(argv=None) -> int:
         if verified:
             print("verified: all cross-checks passed")
     return 0
+
+
+def run(argv=None) -> int:
+    try:
+        return _run(argv)
+    except (OverflowError, RecursionError) as exc:
+        # work too large or too deep for the interpreter: an input error
+        print(f"error: {_one_line(exc)}", file=sys.stderr)
+        return 1
+    except (AssertionError, ConstructionFailed) as exc:
+        # an internal exact check failed
+        print(f"error: internal check failed: {_one_line(exc)}",
+              file=sys.stderr)
+        return 2
 
 
 def main() -> None:

@@ -49,6 +49,27 @@ def _trim(coeffs: Iterable[int]) -> tuple[int, ...]:
     return tuple(cs)
 
 
+def _scaled_value(coeffs: tuple[int, ...], n: int, d: int) -> int:
+    """d**deg * p(n/d) for p = sum coeffs[i] x**i of degree deg, by integer
+    Horner; for d > 0 its sign is the sign of p(n/d).  A power-of-two d,
+    which every bisection point has, scales by shifts, not products."""
+    if not coeffs:
+        return 0
+    acc = coeffs[-1]
+    if d & (d - 1):
+        dp = 1
+        for c in coeffs[-2::-1]:
+            dp *= d
+            acc = acc * n + c * dp
+    else:
+        e = d.bit_length() - 1
+        shift = 0
+        for c in coeffs[-2::-1]:
+            shift += e
+            acc = acc * n + (c << shift)
+    return acc
+
+
 class IntPoly:
     """Immutable dense polynomial over the integers."""
 
@@ -246,29 +267,14 @@ class IntPoly:
         n, d = fr.numerator, fr.denominator
         if d == 1:
             return Fraction(self.eval_int(n))
-        deg = len(self._coeffs) - 1
-        if deg < 0:
-            return Fraction(0)
-        acc = self._coeffs[-1]
-        dp = 1
-        for i in range(deg - 1, -1, -1):
-            dp *= d
-            acc = acc * n + self._coeffs[i] * dp
-        return Fraction(acc, dp)
+        deg = max(len(self._coeffs) - 1, 0)
+        return Fraction(_scaled_value(self._coeffs, n, d), d ** deg)
 
     def sign_at(self, t: Rational) -> Sign:
         """Exact sign of p(t) via the scaled integer den**deg * p(num/den)."""
         fr = Fraction(t)
-        n, d = fr.numerator, fr.denominator
-        deg = len(self._coeffs) - 1
-        if deg < 0:
-            return Sign.ZERO
-        acc = self._coeffs[-1]
-        dp = 1
-        for i in range(deg - 1, -1, -1):
-            dp *= d
-            acc = acc * n + self._coeffs[i] * dp
-        return Sign.of(acc)
+        return Sign.of(_scaled_value(self._coeffs, fr.numerator,
+                                     fr.denominator))
 
     # -- printing ----------------------------------------------------------------
 

@@ -13,8 +13,8 @@ import math
 from fractions import Fraction
 from typing import Optional, Union
 
-from .polyarith import (IntPoly, Sign, _subresultant_prs, div_exact,
-                        poly_gcd)
+from .polyarith import (IntPoly, _scaled_value, _subresultant_prs,
+                        div_exact, poly_gcd)
 
 POS_INF = math.inf
 NEG_INF = -math.inf
@@ -42,14 +42,14 @@ class RootBox:
         hi = Fraction(hi)
         if exact is not None:
             exact = Fraction(exact)
-            if poly.sign_at(exact) != Sign.ZERO:
+            if _sign_at(poly, exact) != 0:
                 raise ValueError("exact value is not a root")
             lo = hi = exact
         else:
             if not lo < hi:
                 raise ValueError("empty interval")
-            slo, shi = poly.sign_at(lo), poly.sign_at(hi)
-            if slo == Sign.ZERO or shi == Sign.ZERO:
+            slo, shi = _sign_at(poly, lo), _sign_at(poly, hi)
+            if slo == 0 or shi == 0:
                 raise ValueError("interval endpoint is a root")
             if slo == shi:
                 raise ValueError("no sign change across the interval")
@@ -89,6 +89,11 @@ def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
+def _sign_at(p: IntPoly, x) -> int:
+    """Sign of p at the rational x, from the integer den**deg * p(num/den)."""
+    return _sign(_scaled_value(p.coeffs, x.numerator, x.denominator))
+
+
 @functools.lru_cache(maxsize=512)
 def _sqf_and_chain(p: IntPoly) -> tuple[IntPoly, tuple[IntPoly, ...]]:
     """Squarefree part and its Sturm chain.
@@ -114,22 +119,21 @@ def _sqf_and_chain(p: IntPoly) -> tuple[IntPoly, tuple[IntPoly, ...]]:
     return sqf, tuple(chain)
 
 
-def _sign_at_extended(f: IntPoly, point) -> Sign:
-    if point is POS_INF:
-        return Sign.of(f.lc)
-    if point is NEG_INF:
-        deg = len(f.coeffs) - 1
-        if deg < 0:
-            return Sign.ZERO
-        return Sign.of(f.lc * (-1) ** deg)
-    return f.sign_at(point)
-
-
 def _variations(chain, point) -> int:
+    """Sign variations of the chain at a rational point or at +-inf.
+
+    A finite point n/d is decomposed once and every element is evaluated as
+    the integer d**deg * f(n/d)."""
+    if point is POS_INF:
+        signs = [_sign(f.lc) for f in chain]
+    elif point is NEG_INF:
+        signs = [_sign(f.lc) * (-1) ** (len(f.coeffs) - 1) for f in chain]
+    else:
+        n, d = point.numerator, point.denominator
+        signs = [_sign(_scaled_value(f.coeffs, n, d)) for f in chain]
     count = 0
     last = 0
-    for f in chain:
-        s = int(_sign_at_extended(f, point))
+    for s in signs:
         if s == 0:
             continue
         if last != 0 and s != last:
@@ -170,9 +174,9 @@ def count_roots(p: IntPoly, lo: Point, hi: Point) -> int:
     sqf, chain = _sqf_and_chain(p)
     if sqf.degree < 1:
         return 0
-    if fa and sqf.sign_at(a) == Sign.ZERO:
+    if fa and _sign_at(sqf, a) == 0:
         raise EndpointIsRootError(f"{a} is a root")
-    if fb and sqf.sign_at(b) == Sign.ZERO:
+    if fb and _sign_at(sqf, b) == 0:
         raise EndpointIsRootError(f"{b} is a root")
     return _variations(chain, a) - _variations(chain, b)
 
@@ -253,11 +257,11 @@ def isolate_roots(p: IntPoly) -> list[RootBox]:
                 boxes.append(RootBox(sqf, aa, bb))
                 continue
         mid = (a + b) / 2
-        if w.sign_at(mid) == Sign.ZERO:
+        if _sign_at(w, mid) == 0:
             boxes.append(RootBox(sqf, mid, mid, exact=mid))
             num, den = mid.numerator, mid.denominator
             w = div_exact(w, IntPoly((-num, den)))
-            if w.degree >= 1 and w.sign_at(mid) == Sign.ZERO:
+            if w.degree >= 1 and _sign_at(w, mid) == 0:
                 raise AssertionError("squarefree part had a repeated root")
         work.append((a, mid, w))
         work.append((mid, b, w))
@@ -269,13 +273,13 @@ def _clear_endpoint(sqf: IntPoly, w: IntPoly, a: Fraction, b: Fraction,
                     left: bool) -> Fraction:
     """Move an endpoint off any root of sqf without losing the w-root."""
     e = a if left else b
-    if sqf.sign_at(e) != Sign.ZERO:
+    if _sign_at(sqf, e) != 0:
         return e
     # step toward the single w-root in (a, b); stop before reaching it
     span = b - a
     for j in range(1, 128):
         t = (a + span / (1 << j)) if left else (b - span / (1 << j))
-        if w.sign_at(t) == Sign.ZERO or sqf.sign_at(t) == Sign.ZERO:
+        if _sign_at(w, t) == 0 or _sign_at(sqf, t) == 0:
             continue
         inner = _count_open(w, a, t) if left else _count_open(w, t, b)
         if inner == 0:
@@ -287,7 +291,8 @@ def refine(box: RootBox, eps) -> RootBox:
     """Bisect a RootBox until its width is below eps.
 
     A rational midpoint that happens to be the root collapses the box to an
-    exact degenerate certificate.
+    exact degenerate certificate.  The bisection runs on integer numerators
+    over one denominator, which doubles at every step.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -298,19 +303,28 @@ def refine(box: RootBox, eps) -> RootBox:
         r = Fraction(-box.poly[0], box.poly[1])
         return RootBox(box.poly, r, r, exact=r)
     lo, hi = box.lo, box.hi
-    if hi - lo < eps:
+    den = math.lcm(lo.denominator, hi.denominator)
+    ln = lo.numerator * (den // lo.denominator)
+    hn = hi.numerator * (den // hi.denominator)
+    # width (hn - ln)/den >= eps, cross-multiplied
+    if (hn - ln) * eps.denominator < eps.numerator * den:
         return box
-    s_lo = box.poly.sign_at(lo)
-    while hi - lo >= eps:
-        mid = (lo + hi) / 2
-        sm = box.poly.sign_at(mid)
-        if sm == Sign.ZERO:
+    coeffs = box.poly.coeffs
+    s_lo = _sign(_scaled_value(coeffs, ln, den))
+    while (hn - ln) * eps.denominator >= eps.numerator * den:
+        mn = ln + hn
+        ln <<= 1
+        hn <<= 1
+        den <<= 1
+        sm = _sign(_scaled_value(coeffs, mn, den))
+        if sm == 0:
+            mid = Fraction(mn, den)
             return RootBox(box.poly, mid, mid, exact=mid)
         if sm == s_lo:
-            lo = mid
+            ln = mn
         else:
-            hi = mid
-    return RootBox(box.poly, lo, hi)
+            hn = mn
+    return RootBox(box.poly, Fraction(ln, den), Fraction(hn, den))
 
 
 # -- window predicates for cubics x^3 - a*x + b ---------------------------------
@@ -359,10 +373,22 @@ def sqrt_interval(lo: Fraction, hi: Fraction, bits: int = 64) -> tuple[Fraction,
 
 
 def _poly_range(p: IntPoly, lo: Fraction, hi: Fraction):
-    """Conservative range of p over [lo, hi] by interval Horner."""
-    rlo = rhi = Fraction(0)
-    for c in reversed(p.coeffs):
-        a, b, cc, d = rlo * lo, rlo * hi, rhi * lo, rhi * hi
-        rlo = min(a, b, cc, d) + c
-        rhi = max(a, b, cc, d) + c
-    return rlo, rhi
+    """Conservative range of p over [lo, hi] by interval Horner.
+
+    The Horner steps run on integer numerators over a common denominator;
+    scaling by a positive power of it keeps every min/max choice, so the
+    bounds equal those of the same recurrence in rationals."""
+    coeffs = p.coeffs
+    if not coeffs:
+        return Fraction(0), Fraction(0)
+    den = math.lcm(lo.denominator, hi.denominator)
+    ln = lo.numerator * (den // lo.denominator)
+    hn = hi.numerator * (den // hi.denominator)
+    rlo = rhi = coeffs[-1]
+    scale = 1
+    for c in coeffs[-2::-1]:
+        scale *= den
+        a, b, cc, d = rlo * ln, rlo * hn, rhi * ln, rhi * hn
+        rlo = min(a, b, cc, d) + c * scale
+        rhi = max(a, b, cc, d) + c * scale
+    return Fraction(rlo, scale), Fraction(rhi, scale)

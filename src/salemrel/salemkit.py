@@ -214,6 +214,19 @@ def _floor_lt(x: Fraction) -> int:
     return math.ceil(x) - 1
 
 
+def _interlacing_range(ranges, slope: int, lo: int, hi: int) -> tuple[int, int]:
+    """The c in [lo, hi] for which base + c*slope has strictly alternating
+    sign on the critical boxes, given the interval range of base on each:
+    < 0 on the first (largest) box, > 0 on the next, and so on.  Empty as
+    lo > hi."""
+    for idx, (elo, ehi) in enumerate(ranges):
+        if idx % 2 == 0:
+            hi = min(hi, _floor_lt(-ehi / slope))
+        else:
+            lo = max(lo, _ceil_gt(-elo / slope))
+    return lo, hi
+
+
 def window_poly_search(k: int) -> list[IntPoly]:
     """All monic integer h of degree k with k-1 roots in (-2, 1/4) and one
     root in (-6, -2).
@@ -222,8 +235,14 @@ def window_poly_search(k: int) -> list[IntPoly]:
     D_m = h^(k-m) up to its constant term, which is linear in the new
     coefficient; necessary conditions (endpoint signs on (-6, 1/4), weak sign
     alternation at the critical points of D_m, the crude symmetric-function
-    coefficient bound) clip the integer range before descending.  The final
-    exact filter is a pair of Sturm counts on h itself.
+    coefficient bound) clip the integer range before descending.
+
+    The caller holds a box around each root of D_m' = D_{m-1}.  Where D_m
+    has strictly alternating sign on those boxes (negative on the largest),
+    it is monotone between them and, with the strict endpoint signs, has
+    exactly one root in each of the m gaps they leave in (-6, 1/4) (Rolle):
+    the gaps are the next level's boxes, and at m == k the sign of h at -2
+    places its roots.  Elsewhere Sturm counts and isolation decide.
     """
     if k < 2:
         raise ValueError("k >= 2 required")
@@ -247,37 +266,54 @@ def window_poly_search(k: int) -> list[IntPoly]:
         else:
             hi_b = min(hi_b, _floor_lt(-val / slope))
         # weak alternation at the critical points (roots of D_{m-1}, descending)
-        for idx, (blo, bhi) in enumerate(crit_boxes):
-            elo, ehi = _poly_range(base, blo, bhi)
+        ranges = [_poly_range(base, blo, bhi) for blo, bhi in crit_boxes]
+        for idx, (elo, ehi) in enumerate(ranges):
             if idx % 2 == 0:  # largest critical point first: need D_m <= 0
                 hi_b = min(hi_b, math.floor(-elo / slope))
             else:  # need D_m >= 0 somewhere in the box
                 lo_b = max(lo_b, math.ceil(-ehi / slope))
+        lo_i, hi_i = _interlacing_range(ranges, slope, lo_b, hi_b)
+        # gap i has D_m's sign (-1)^i at its upper end when D_m interlaces
+        gaps = list(zip([bhi for _, bhi in crit_boxes] + [Fraction(-6)],
+                        [quarter] + [blo for blo, _ in crit_boxes]))
         for c in range(lo_b, hi_b + 1):
+            interlaces = lo_i <= c <= hi_i
             if m == k:
                 h = IntPoly(tuple(reversed([1] + coeffs + [c])))
-                if (h.sign_at(-6) == 0 or h.sign_at(-2) == 0
-                        or h.sign_at(quarter) == 0):
+                # one root below -2 and k-1 above give h(-2) the sign (-1)^(k-1)
+                s = h.sign_at(-2)
+                if s != (-1) ** (k - 1):
                     continue
-                if (count_roots(h, -2, quarter) == k - 1
+                if interlaces:
+                    # h has one root per gap: the one in gap i lies below -2
+                    # when the gap does, or when -2 is inside the gap and
+                    # h(-2) already has the sign of the gap's upper end
+                    below = sum(b <= -2 or (a < -2 and s == (-1) ** i)
+                                for i, (a, b) in enumerate(gaps))
+                    if below == 1:
+                        results.append(h)
+                elif (h.sign_at(-6) != 0 and h.sign_at(quarter) != 0
+                        and count_roots(h, -2, quarter) == k - 1
                         and count_roots(h, -6, -2) == 1):
                     results.append(h)
                 continue
             d_m = base + IntPoly((c * slope,))
-            try:
-                if count_roots(d_m, -6, quarter) != m:
+            if interlaces:
+                boxes = [RootBox(d_m, a, b) for a, b in gaps]
+            else:
+                try:
+                    if count_roots(d_m, -6, quarter) != m:
+                        continue
+                except EndpointIsRootError:
+                    # a derivative root on the window edge cannot come from
+                    # a strictly confined h
                     continue
-            except EndpointIsRootError:
-                # a derivative root on the window edge cannot come from a
-                # strictly confined h
-                continue
-            boxes = isolate_roots(d_m)
-            if len(boxes) != m:
-                continue
+                boxes = isolate_roots(d_m)
+                if len(boxes) != m:
+                    continue
+                boxes.reverse()
             boxes = [refine(b, Fraction(1, 64)) for b in boxes]
-            boxes.reverse()
-            descend(m + 1, coeffs + [c],
-                    [(b.lo, b.hi) for b in boxes])
+            descend(m + 1, coeffs + [c], [(b.lo, b.hi) for b in boxes])
 
     descend(1, [], [])
     results.sort(key=IntPoly.sort_key)

@@ -1,11 +1,17 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from salemrel import cli
 from salemrel.polyarith import IntPoly, trace_lift
+from salemrel.salemkit import (ConstructionFailed, enum_deg6_trace0,
+                               pair_sum_enum)
 
 DEG8 = "x^8-2x^7+x^6-2x^5+x^4-2x^3+x^2-2x+1"
 DEG12 = "x^12-4x^10-6x^9-2x^8+4x^7+7x^6+4x^5-2x^4-6x^3-4x^2+1"
@@ -57,6 +63,45 @@ def test_exit_code_verification_failure(capsys, monkeypatch):
     # without --verify the same handler exits clean
     assert cli.run(["parse", "x+1"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("exc, code", [
+    (OverflowError("int too large to convert to float"), 1),
+    (RecursionError("maximum recursion depth exceeded"), 1),
+    (AssertionError("alpha bracket collapsed"), 2),
+    (ConstructionFailed("window pair (4,-1) failed to lift"), 2),
+])
+def test_escaping_exceptions_exit_with_one_line(capsys, monkeypatch, exc,
+                                                code):
+    def broken(args):
+        raise exc
+
+    monkeypatch.setitem(cli._HANDLERS, "parse", broken)
+    assert cli.run(["parse", "x+1"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1 and type(exc).__name__ in captured.err
+
+
+def test_python_dash_m_entry_point():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "salemrel", "parse",
+                           "x^2+1"], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[0] == "x^2+1"
+
+
+def test_every_enumerated_certificate_verifies():
+    certs = (list(enum_deg6_trace0()) + list(pair_sum_enum(2).salem)
+             + list(pair_sum_enum(3).salem))
+    assert len(certs) == 4 + 15 + 30
+    for cert in certs:
+        assert cli._verify_certificate(cert) == []
 
 
 # -- document schema ----------------------------------------------------------------------

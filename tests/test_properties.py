@@ -1,19 +1,23 @@
-"""Property tests: exact root counting against isolation, the canonical
-print form against the parser, exact division against rational long
-division, modular division by a monic divisor modulo composite moduli, and
-the modular factoriser against the interpolation oracle.  Example counts stay
-small and the search is derandomized so every run checks the same cases."""
+"""Property tests: exact root counting against isolation, the integer
+evaluation kernel of realroots (interval Horner, bisection, Sturm sign
+variations) against rational-arithmetic references, the canonical print form
+against the parser, exact division against rational long division, modular
+division by a monic divisor modulo composite moduli, and the modular
+factoriser against the interpolation oracle.  Example counts stay small and
+the search is derandomized so every run checks the same cases."""
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from salemrel.factorint import _gp_divmod, factor, kronecker_factor_oracle
 from salemrel.parsing import parse_poly
 from salemrel.polyarith import IntPoly, div_exact, format_poly
-from salemrel.realroots import count_roots, isolate_roots
+from salemrel.realroots import (NEG_INF, POS_INF, RootBox, _poly_range,
+                                _sqf_and_chain, _variations, count_roots,
+                                isolate_roots, refine, root_bound)
 
 _PROPERTY = settings(max_examples=80, deadline=None, derandomize=True,
                      database=None)
@@ -29,6 +33,95 @@ _nonzero_poly = _small_poly.filter(lambda p: not p.is_zero)
 def test_count_roots_matches_isolation(coeffs):
     p = IntPoly(tuple(coeffs))
     assert count_roots(p, None, None) == len(isolate_roots(p))
+
+
+def _fraction_poly_range(p: IntPoly, lo: Fraction, hi: Fraction):
+    """Interval Horner in rationals: the reference for _poly_range."""
+    rlo = rhi = Fraction(0)
+    for c in reversed(p.coeffs):
+        a, b, cc, d = rlo * lo, rlo * hi, rhi * lo, rhi * hi
+        rlo = min(a, b, cc, d) + c
+        rhi = max(a, b, cc, d) + c
+    return rlo, rhi
+
+
+# dyadic and non-dyadic endpoints
+_rational = st.builds(Fraction, st.integers(-40, 40),
+                      st.sampled_from((1, 2, 3, 4, 5, 8, 12, 64)))
+
+
+@_PROPERTY
+@given(_small_poly, _rational, _rational)
+# between them these two make each of the four products the min and the max
+@example(IntPoly((5, 2, 1, 7)), Fraction(-4), Fraction(-3, 2))
+@example(IntPoly((-6, -9, 4, -1)), Fraction(1, 2), Fraction(3, 2))
+def test_poly_range_matches_rational_interval_horner(p, a, b):
+    lo, hi = min(a, b), max(a, b)
+    assert _poly_range(p, lo, hi) == _fraction_poly_range(p, lo, hi)
+
+
+def _fraction_refine(p: IntPoly, lo: Fraction, hi: Fraction, eps: Fraction):
+    """Bisection in rationals: the reference for refine, as (lo, hi, exact)."""
+    if hi - lo < eps:
+        return lo, hi, None
+    s_lo = p.sign_at(lo)
+    while hi - lo >= eps:
+        mid = (lo + hi) / 2
+        sm = p.sign_at(mid)
+        if sm == 0:
+            return mid, mid, mid
+        if sm == s_lo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi, None
+
+
+# products of linear factors with small rational roots, so that bisection
+# midpoints can land on a root, times a factor that may add irrational roots
+_root_poly = st.tuples(
+    st.lists(st.tuples(st.integers(-8, 8), st.sampled_from((1, 2, 3, 4, 8))),
+             min_size=1, max_size=3),
+    st.sampled_from((IntPoly((1,)), IntPoly((-2, 0, 1)), IntPoly((-1, -1, 1)))),
+).map(lambda t: _product([IntPoly((-a, b)) for a, b in t[0]] + [t[1]]))
+
+
+def _product(fs):
+    p = IntPoly((1,))
+    for f in fs:
+        p = p * f
+    return p
+
+
+@_PROPERTY
+@given(_root_poly, _rational, _rational,
+       st.sampled_from((Fraction(1, 64), Fraction(1, 3 ** 5),
+                        Fraction(1, 1 << 20), Fraction(7, 10))))
+@example(_product([IntPoly((-1, 4)), IntPoly((-2, 0, 1))]), Fraction(0),
+         Fraction(1), Fraction(1, 64))
+def test_refine_matches_rational_bisection(p, a, b, eps):
+    lo, hi = min(a, b), max(a, b)
+    assume(p.degree >= 2 and lo < hi)
+    assume(p.sign_at(lo) * p.sign_at(hi) < 0)
+    box = refine(RootBox(p, lo, hi), eps)
+    assert (box.lo, box.hi, box.exact) == _fraction_refine(p, lo, hi, eps)
+
+
+@_PROPERTY
+@given(st.lists(st.integers(-12, 12), min_size=2, max_size=8)
+       .filter(lambda cs: cs[-1] != 0),
+       st.one_of(_rational, st.sampled_from((POS_INF, NEG_INF))))
+def test_variations_match_per_element_signs(coeffs, point):
+    _, chain = _sqf_and_chain(IntPoly(tuple(coeffs)))
+    if point in (POS_INF, NEG_INF):
+        # no element has a root outside (-bound, bound)
+        bound = max(root_bound(f) for f in chain)
+        at = Fraction(bound if point is POS_INF else -bound)
+    else:
+        at = point
+    signs = [s for s in (int(f.sign_at(at)) for f in chain) if s != 0]
+    expected = sum(s != t for s, t in zip(signs, signs[1:]))
+    assert _variations(chain, point) == expected
 
 
 @_PROPERTY

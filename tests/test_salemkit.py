@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from salemrel import salemkit
 from salemrel.cyclo import seq_poly
 from salemrel.polyarith import (IntPoly, pair_sum_lift, pair_sum_trace_poly,
                                 trace_lift, trace_project)
@@ -146,6 +147,16 @@ def test_window_search_k3():
         assert h.is_monic and h.degree == 3
         assert count_roots(h, -2, Fraction(1, 4)) == 2
         assert count_roots(h, -6, -2) == 1
+
+
+def test_window_search_sturm_path_matches_interlacing(monkeypatch):
+    # the Sturm path (count, isolate, refine at every node) is the oracle for
+    # the Rolle interlacing certificates
+    default = {k: window_poly_search(k) for k in (2, 3, 4)}
+    monkeypatch.setattr(salemkit, "_interlacing_range",
+                        lambda ranges, slope, lo, hi: (hi + 1, hi))
+    for k, hs in default.items():
+        assert window_poly_search(k) == hs
 
 
 def test_pair_sum_trace_identity_on_search_results():
