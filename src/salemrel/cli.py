@@ -38,7 +38,7 @@ class _InputError(Exception):
 # caps on the size arguments, checked before any work starts: each command's
 # time and memory grow with them without limit (on 2 cores, seq --n 10**6
 # takes about 1.5 s, bad-degrees --max-degree 10**6 about 2.5 s and 5 MB of
-# output, trace0 --degree 400 25-35 s and --degree 1000 over 2 minutes)
+# output, trace0 --degree 400 about 13 s)
 _MAX_SEQ_N = 10 ** 6
 _MAX_BAD_DEGREE = 10 ** 6
 _MAX_TRACE0_DEGREE = 400
