@@ -10,6 +10,13 @@ applies: the trace is zero and the vector is constant; the trace polynomial
 is h(x(1-x)) up to sign, pairing the betas into two-term sums of 1; or the
 trace polynomial splits as p^2 - m*q^2, making each factor's root group sum
 to zero.  Everything else stays labelled numeric_only.
+
+Screening is exact integer arithmetic: the beta boxes are refined once, their
+endpoints written as integers over one common denominator, and a single walk
+of the vector tree builds each vector's interval sum from its parent's.  A
+vector survives when its sum encloses 0 on the refined boxes.  `relations
+--verify` re-checks the certified relations with independent Fraction
+interval sums.
 """
 
 from __future__ import annotations
@@ -24,10 +31,14 @@ from .realroots import _poly_range, refine
 from .salemkit import SalemCertificate
 
 MAX_LENGTH_LIMIT = 24
-# screening may refine every beta box to width 2^-(4*precision_bits), and the
-# cost of that refinement and of the Fraction sums grows faster than linearly
-# in precision_bits; the bound is 16 times the default
+# screening may bisect every beta box to width 2^-(4*precision_bits), and the
+# cost of that bisection grows faster than linearly in precision_bits; the
+# bound is 16 times the default
 _MAX_PRECISION_BITS = 1024
+# the screen costs about 1 us per vector (0.8-1.5 us from 64 to 1024 bits on
+# 2 cores, Python 3.11), so the largest accepted screen, s = 10 with
+# sum |m_j| <= 11 (9.2 million vectors), takes about 8 s
+_MAX_SCREEN_VECTORS = 10 ** 7
 
 CERTIFIED_TRACE = "certified_trace"
 CERTIFIED_PAIRSUM = "certified_pairsum"
@@ -93,6 +104,8 @@ def _interleave(reduced: tuple[int, ...]) -> RelationVector:
 
 
 def _sum_interval(boxes, reduced):
+    """Interval sum of the reduced vector over the boxes, in rationals: the
+    check that `relations --verify` makes independently of the screen."""
     lo = hi = Fraction(0)
     for m, box in zip(reduced, boxes):
         if m > 0:
@@ -278,46 +291,101 @@ def certify(cert: SalemCertificate, reduced) -> str:
 # -- screening search ---------------------------------------------------------------
 
 
-def _reduced_vectors(s: int, max_sum: int):
-    """All primitive integer vectors of length s with sum |m_j| <= max_sum and
-    positive first nonzero entry, in lexicographic order.  An integer multiple
-    names the same relation, so only the gcd-1 representative is emitted."""
-    vec = [0] * s
+def _screen_size(s: int, max_sum: int) -> int:
+    """Reduced vectors a screen visits: (B - 1)/2 with
+    B = sum_k 2^k C(s, k) C(max_sum, k), the number of integer points of Z^s
+    with sum |m_j| <= max_sum: k nonzero positions, their signs, and k
+    positive absolute values with sum at most max_sum (C(max_sum, k) ways)."""
+    points = sum((1 << k) * math.comb(s, k) * math.comb(max_sum, k)
+                 for k in range(min(s, max_sum) + 1))
+    return (points - 1) // 2
 
-    def rec(i: int, budget: int, started: bool):
-        if i == s:
-            if started and math.gcd(*vec) == 1:
-                yield tuple(vec)
-            return
-        low = 0 if not started else -budget
-        for c in range(low, budget + 1):
-            vec[i] = c
-            yield from rec(i + 1, budget - abs(c), started or c != 0)
-        vec[i] = 0
 
-    yield from rec(0, max_sum, False)
+def _integer_ends(boxes):
+    """The boxes' endpoints as integer numerators over their common
+    denominator: (lo numerators, hi numerators, denominator)."""
+    den = math.lcm(*(e.denominator for b in boxes for e in (b.lo, b.hi)))
+    return ([b.lo.numerator * (den // b.lo.denominator) for b in boxes],
+            [b.hi.numerator * (den // b.hi.denominator) for b in boxes],
+            den)
 
 
 def _survivors(cert: SalemCertificate, max_sum: int, precision_bits: int):
-    """The reduced vectors with sum |m_j| <= max_sum whose beta sum encloses 0
-    on boxes of width 2^-(2*precision_bits)."""
-    boxes = [refine(b, Fraction(1, 1 << (2 * precision_bits)))
-             for b in cert.beta_boxes]
-    near = Fraction(1, 1 << (precision_bits // 2))
-    fine_boxes = None
-    for reduced in _reduced_vectors(len(boxes), max_sum):
-        lo, hi = _sum_interval(boxes, reduced)
-        if not lo <= 0 <= hi:
-            if (lo if lo > 0 else -hi) >= near:
-                continue
-            # near miss: one escalation to finer boxes, then the final verdict
-            if fine_boxes is None:
-                fine_boxes = [refine(b, Fraction(1, 1 << (4 * precision_bits)))
-                              for b in cert.beta_boxes]
-            lo, hi = _sum_interval(fine_boxes, reduced)
-            if not lo <= 0 <= hi:
-                continue
-        yield reduced
+    """The primitive reduced vectors with sum |m_j| <= max_sum and positive
+    first nonzero entry whose beta sum encloses 0 on boxes of width
+    2^-(2*precision_bits), as a lazy iterator in lexicographic order.
+
+    The screen's size is checked against _MAX_SCREEN_VECTORS before any box
+    is refined.  One walk over the vector tree carries each vector's interval
+    sum as integer numerators over the boxes' common denominator, built from
+    its parent's sum with one multiply-add per endpoint.  A sum that misses 0
+    by less than 2^-(precision_bits//2) is decided once more on boxes of
+    width 2^-(4*precision_bits).
+    """
+    s = len(cert.beta_boxes)
+    count = _screen_size(s, max_sum)
+    if count > _MAX_SCREEN_VECTORS:
+        raise ValueError(
+            f"screen of {count} reduced vectors exceeds the cap of "
+            f"{_MAX_SCREEN_VECTORS}; lower the length bound")
+    lo, hi, den = _integer_ends(
+        [refine(b, Fraction(1, 1 << (2 * precision_bits)))
+         for b in cert.beta_boxes])
+    # a sum misses 0 by dist with dist << (precision_bits//2) >= den exactly
+    # when dist >= t, so (a, b) is skipped when a >= t or b <= -t
+    t = -(-den >> (precision_bits // 2))
+    fine = None
+    vec = [0] * s
+    last = s - 1
+
+    def hit(a, b):
+        """vec is primitive and its sum, (a, b) over den, encloses 0; a near
+        miss is decided on the finer boxes."""
+        nonlocal fine
+        if math.gcd(*vec) != 1:
+            return False
+        if a <= 0 <= b:
+            return True
+        if fine is None:
+            fine = _integer_ends(
+                [refine(box, Fraction(1, 1 << (4 * precision_bits)))
+                 for box in cert.beta_boxes])
+        flo, fhi, _ = fine
+        a = sum(m * (flo[j] if m > 0 else fhi[j]) for j, m in enumerate(vec))
+        b = sum(m * (fhi[j] if m > 0 else flo[j]) for j, m in enumerate(vec))
+        return a <= 0 <= b
+
+    def walk(start, budget, a, b, started):
+        """Every filling of vec[start:], which is zero on entry and on exit,
+        with sum |m_j| <= budget, in lexicographic order; (a, b) is the
+        interval sum of vec[:start].  Fillings whose first nonzero entry is
+        negative sort first, then the all-zero filling, then those whose
+        first nonzero entry is positive, latest position first."""
+        if started:
+            for j in range(start, s):
+                l, h = lo[j], hi[j]
+                for c in range(-budget, 0):
+                    vec[j] = c
+                    ca, cb = a + c * h, b + c * l
+                    if c > -budget and j < last:
+                        yield from walk(j + 1, budget + c, ca, cb, True)
+                    elif ca < t and cb > -t and hit(ca, cb):
+                        yield tuple(vec)
+                vec[j] = 0
+            if a < t and b > -t and hit(a, b):
+                yield tuple(vec)
+        for j in range(last, start - 1, -1):
+            l, h = lo[j], hi[j]
+            for c in range(1, budget + 1):
+                vec[j] = c
+                ca, cb = a + c * l, b + c * h
+                if c < budget and j < last:
+                    yield from walk(j + 1, budget - c, ca, cb, True)
+                elif ca < t and cb > -t and hit(ca, cb):
+                    yield tuple(vec)
+            vec[j] = 0
+
+    return walk(0, max_sum, 0, 0, False)
 
 
 def find_relations(cert: SalemCertificate, max_length: int,

@@ -328,6 +328,17 @@ def test_trace0_degree_capped(capsys):
             "error: --degree must be at most 400\n"
 
 
+def test_relations_screen_capped(capsys):
+    # s = 50 betas and sum |m_j| <= 12 would screen about 1.2 * 10^15 vectors
+    start = time.perf_counter()
+    assert cli.run(["relations", "x^100-x^98-x^97-x^3-x^2+1",
+                    "--max-length", "24"]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "error: screen of 1235433284005660 reduced vectors exceeds the cap "
+        "of 10000000; lower the length bound\n")
+
+
 def test_parse_exponent_capped(capsys):
     assert cli.run(["parse", "x^99999999999"]) == 1
     assert capsys.readouterr().err == \

@@ -2,22 +2,29 @@
 evaluation kernel of realroots (interval Horner, bisection, Sturm sign
 variations) against rational-arithmetic references, the canonical print form
 against the parser, exact division against rational long division, modular
-division by a monic divisor modulo composite moduli, and the modular
-factoriser against the interpolation oracle.  Example counts stay small and
-the search is derandomized so every run checks the same cases."""
+division by a monic divisor modulo composite moduli, the modular factoriser
+against the interpolation oracle, and the integer relation screen against
+per-vector rational interval sums.  Example counts stay small and the search
+is derandomized so every run checks the same cases."""
 
+import math
 from fractions import Fraction
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from salemrel import relations
 from salemrel.factorint import _gp_divmod, factor, kronecker_factor_oracle
 from salemrel.parsing import parse_poly
 from salemrel.polyarith import IntPoly, div_exact, format_poly
 from salemrel.realroots import (NEG_INF, POS_INF, RootBox, _poly_range,
                                 _sqf_and_chain, _variations, count_roots,
                                 isolate_roots, refine, root_bound)
+from salemrel.relations import _sum_interval, _survivors
+from salemrel.salemkit import salem_check
 
 _PROPERTY = settings(max_examples=80, deadline=None, derandomize=True,
                      database=None)
@@ -190,3 +197,98 @@ def test_factor_matches_oracle_on_products(fs):
     for f in fs:
         p = p * f
     assert factor(p) == kronecker_factor_oracle(p)
+
+
+def _reduced_vectors(s: int, max_sum: int):
+    """Primitive vectors with sum |m_j| <= max_sum and positive first nonzero
+    entry, in lexicographic order, one recursion level per entry."""
+    vec = [0] * s
+
+    def rec(i: int, budget: int, started: bool):
+        if i == s:
+            if started and math.gcd(*vec) == 1:
+                yield tuple(vec)
+            return
+        low = 0 if not started else -budget
+        for c in range(low, budget + 1):
+            vec[i] = c
+            yield from rec(i + 1, budget - abs(c), started or c != 0)
+        vec[i] = 0
+
+    yield from rec(0, max_sum, False)
+
+
+def _fraction_screen(cert, max_sum: int, precision_bits: int):
+    """The screen in rationals, one interval sum per vector: the reference
+    for _survivors, as (survivors, number of boxes refined)."""
+    boxes = [refine(b, Fraction(1, 1 << (2 * precision_bits)))
+             for b in cert.beta_boxes]
+    near = Fraction(1, 1 << (precision_bits // 2))
+    fine_boxes = None
+    survivors = []
+    for reduced in _reduced_vectors(len(boxes), max_sum):
+        lo, hi = _sum_interval(boxes, reduced)
+        if not lo <= 0 <= hi:
+            if (lo if lo > 0 else -hi) >= near:
+                continue
+            if fine_boxes is None:
+                fine_boxes = [refine(b, Fraction(1, 1 << (4 * precision_bits)))
+                              for b in cert.beta_boxes]
+            lo, hi = _sum_interval(fine_boxes, reduced)
+            if not lo <= 0 <= hi:
+                continue
+        survivors.append(reduced)
+    return survivors, len(boxes) * (1 if fine_boxes is None else 2)
+
+
+def _integer_screen(cert, max_sum: int, precision_bits: int):
+    with mock.patch.object(relations, "refine", wraps=refine) as spy:
+        survivors = list(_survivors(cert, max_sum, precision_bits))
+    return survivors, spy.call_count
+
+
+_FRACTIONS_IN_UNIT = st.sampled_from(
+    (Fraction(1, 8), Fraction(1, 3), Fraction(1, 2), Fraction(3, 5),
+     Fraction(7, 8)))
+
+
+@st.composite
+def _rational_root_boxes(draw):
+    """Disjoint RootBoxes around distinct rational roots of one product of
+    linear factors, with dyadic and non-dyadic endpoints.  Rational roots
+    admit exact relations, and bisection can land on them exactly."""
+    roots = sorted(draw(st.sets(
+        st.builds(Fraction, st.integers(-24, 24),
+                  st.sampled_from((1, 2, 3, 4, 5, 8))),
+        min_size=1, max_size=5)))
+    poly = IntPoly((1,))
+    for r in roots:
+        poly = poly * IntPoly((-r.numerator, r.denominator))
+    left = [roots[0] - 1] + [(a + b) / 2 for a, b in zip(roots, roots[1:])]
+    right = left[1:] + [roots[-1] + 1]
+    return [RootBox(poly, r - draw(_FRACTIONS_IN_UNIT) * (r - lo),
+                    r + draw(_FRACTIONS_IN_UNIT) * (hi - r))
+            for r, lo, hi in zip(roots, left, right)]
+
+
+@_PROPERTY
+@given(_rational_root_boxes(), st.integers(1, 4), st.integers(1, 8))
+def test_survivors_match_fraction_screen_on_random_boxes(boxes, max_sum,
+                                                         precision_bits):
+    cert = SimpleNamespace(beta_boxes=tuple(boxes))
+    assert _integer_screen(cert, max_sum, precision_bits) == \
+        _fraction_screen(cert, max_sum, precision_bits)
+
+
+def test_survivors_match_fraction_screen_on_certificates(
+        deg8_cert, deg12_cert, sextic_certs):
+    c2 = salem_check(parse_poly("x^8-4x^7+6x^6-8x^5+9x^4-8x^3+6x^2-4x+1"))
+    escalated = 0
+    for cert in (deg8_cert, deg12_cert, c2, *sextic_certs):
+        for precision_bits in (*range(1, 9), 64):
+            for max_sum in range(1, 5):
+                expected = _fraction_screen(cert, max_sum, precision_bits)
+                assert _integer_screen(cert, max_sum, precision_bits) == \
+                    expected
+                escalated += expected[1] > len(cert.beta_boxes)
+    assert escalated > 0

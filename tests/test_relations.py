@@ -1,18 +1,24 @@
+import inspect
+import itertools
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from salemrel.polyarith import IntPoly, pair_sum_trace_poly, trace_lift
-from salemrel.realroots import _poly_range, refine, sqrt_interval
+from salemrel import relations
+from salemrel.realroots import RootBox, _poly_range, refine, sqrt_interval
 from salemrel.relations import (CERTIFIED_PAIRSUM, CERTIFIED_QUADSPLIT,
                                 CERTIFIED_TRACE, NUMERIC_ONLY,
                                 PairingViolation, RelationVector,
                                 _find_quadsplit, _recover_window_poly,
-                                _structures, certify, find_relations,
-                                min_length_scan, pair_reduce)
-from salemrel.salemkit import pair_sum_enum, salem_check, window_poly_search
+                                _screen_size, _structures, _survivors,
+                                certify, find_relations, min_length_scan,
+                                pair_reduce)
+from salemrel.salemkit import (pair_sum_enum, salem_check, trace0_salem,
+                               window_poly_search)
 
 _SCALE_BITS = 160
 _BOX_EPS = Fraction(1, 1 << 170)
@@ -219,6 +225,81 @@ def test_min_length_scan(deg8_cert, deg12_cert):
     assert min_length_scan(deg12_cert, 6)
     assert min_length_scan(deg8_cert, 1)
     assert not min_length_scan(deg8_cert, 9)  # the length-8 relation is there
+
+
+def test_min_length_scan_stops_at_first_nontrivial_survivor(deg8_cert,
+                                                           monkeypatch):
+    walks = []
+
+    def recording(*args):
+        walk = _survivors(*args)
+        walks.append(walk)
+        return walk
+
+    monkeypatch.setattr(relations, "_survivors", recording)
+    assert not min_length_scan(deg8_cert, 9)
+    # the walk was left suspended at (1, -1, -1, 1), not run to the end
+    assert inspect.getgeneratorstate(walks[0]) == inspect.GEN_SUSPENDED
+
+
+class _CountingMath:
+    """The math module with a count of gcd calls, one per vector whose sum
+    passes the screen."""
+
+    def __init__(self):
+        self.gcd_calls = 0
+
+    def gcd(self, *args):
+        self.gcd_calls += 1
+        return math.gcd(*args)
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+
+def test_survivors_walk_is_lazy(monkeypatch):
+    # every beta box collapses to the exact root 0, so every vector passes
+    zero = RootBox(IntPoly((0, 1)), Fraction(-1), Fraction(1))
+    cert = SimpleNamespace(beta_boxes=(zero,) * 8)
+    counting = _CountingMath()
+    monkeypatch.setattr(relations, "math", counting)
+    first = list(itertools.islice(_survivors(cert, 6, 8), 2))
+    assert first == [(0,) * 7 + (1,), (0,) * 6 + (1, -5)]
+    # (0,...,0,2) to (0,...,0,6) are tested and dropped as imprimitive
+    assert counting.gcd_calls == 7
+    # run to the end, the walk tests every vector the screen size counts
+    counting.gcd_calls = 0
+    survivors = list(_survivors(cert, 6, 8))
+    assert len(survivors) < counting.gcd_calls == _screen_size(8, 6)
+
+
+def test_screen_size_matches_brute_force():
+    for s in range(1, 6):
+        for r in range(5):
+            points = sum(1 for m in itertools.product(range(-r, r + 1),
+                                                      repeat=s)
+                         if sum(map(abs, m)) <= r)
+            assert _screen_size(s, r) == (points - 1) // 2
+
+
+def test_screen_size_capped_before_refinement(monkeypatch):
+    cert = trace0_salem(100)
+
+    def no_refine(box, eps):
+        raise AssertionError("refined before the size check")
+
+    monkeypatch.setattr(relations, "refine", no_refine)
+    # s = 50 betas and sum |m_j| <= 12: about 1.2 * 10^15 vectors
+    with pytest.raises(ValueError, match="screen of 1235433284005660 "):
+        find_relations(cert, 24)
+    # lengths below 24 allow sum |m_j| <= 11
+    with pytest.raises(ValueError, match="screen of 145079852342660 "):
+        min_length_scan(cert, 24)
+
+
+def test_deg20_trace0_no_relation_below_length_12():
+    # the constant relation has length 20
+    assert find_relations(trace0_salem(20), max_length=12) == ()
 
 
 def test_argument_validation(deg8_cert):
