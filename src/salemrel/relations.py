@@ -395,7 +395,8 @@ def find_relations(cert: SalemCertificate, max_length: int,
     Screens every reduced vector with 2*sum|m_j| <= max_length against the
     refined beta boxes, then attaches an exact certification status; the
     constant vector appears (flagged trivial) exactly when the trace is 0.
-    precision_bits must lie in [1, 1024].
+    precision_bits must lie in [1, 1024], and a screen of more than 10^7
+    reduced vectors is refused with a ValueError before any work starts.
     """
     if not 1 <= max_length <= MAX_LENGTH_LIMIT:
         raise ValueError(f"max_length must be in [1, {MAX_LENGTH_LIMIT}]")
@@ -420,7 +421,8 @@ def find_relations(cert: SalemCertificate, max_length: int,
 
 def min_length_scan(cert: SalemCertificate, bound: int) -> bool:
     """True when no nontrivial relation of conjugate-level length below the
-    bound survives screening at 128-bit precision."""
+    bound survives screening at 128-bit precision; stops at the first one
+    that does.  The screen's size is capped as in find_relations."""
     if not 1 <= bound <= MAX_LENGTH_LIMIT:
         raise ValueError(f"bound must be in [1, {MAX_LENGTH_LIMIT}]")
     return all(len(set(reduced)) == 1
