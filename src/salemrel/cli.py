@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -601,20 +600,6 @@ _HANDLERS = {
 }
 
 
-def _check_threads_env() -> None:
-    raw = os.environ.get("SALEMREL_THREADS")
-    if raw is None:
-        return
-    try:
-        value = int(raw)
-    except ValueError:
-        raise _InputError("SALEMREL_THREADS must be a positive integer")
-    if value < 1:
-        raise _InputError("SALEMREL_THREADS must be a positive integer")
-    # execution is serial; the variable caps parallelism and is accepted as
-    # a no-op so pipelines can set it unconditionally
-
-
 def _one_line(exc: BaseException) -> str:
     """Exception class and the first line of its message."""
     lines = str(exc).splitlines()
@@ -624,7 +609,6 @@ def _one_line(exc: BaseException) -> str:
 def _run(argv) -> int:
     parser = _build_parser()
     try:
-        _check_threads_env()
         args = parser.parse_args(argv)
         handler = _HANDLERS[args.command]
         input_doc, result, certs, reports, lines, verify = handler(args)

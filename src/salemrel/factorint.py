@@ -101,33 +101,68 @@ def _gp_sub(a, b, p):
     return _gp_trim(out)
 
 
-def _gp_mul(a, b, p):
+def _kron_mul(a, b):
+    """Exact product of two lists of nonnegative integer coefficients.
+
+    Kronecker substitution: each list is packed into one integer, w bits per
+    coefficient, the two integers are multiplied once and the product is
+    unpacked.  A product coefficient is a sum of at most min(len(a), len(b))
+    terms, each at most max(a)*max(b), so w is the bit length of that bound
+    and no slot carries into the next.  A one-coefficient operand is a plain
+    scalar multiply.  The result is not trimmed.
+    """
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _gp_trim([c % p for c in out])
+    if len(a) == 1:
+        c = a[0]
+        return [c * x for x in b]
+    if len(b) == 1:
+        c = b[0]
+        return [c * x for x in a]
+    w = (max(a) * max(b) * min(len(a), len(b))).bit_length()
+    x = 0
+    for c in reversed(a):
+        x = (x << w) | c
+    y = 0
+    for c in reversed(b):
+        y = (y << w) | c
+    z = x * y
+    mask = (1 << w) - 1
+    out = []
+    for _ in range(len(a) + len(b) - 1):
+        out.append(z & mask)
+        z >>= w
+    return out
+
+
+def _gp_mul(a, b, p):
+    """a*b over Z/p; every coefficient of a and b must satisfy 0 <= c < p."""
+    return _gp_trim([c % p for c in _kron_mul(a, b)])
 
 
 def _gp_divmod(a, b, p):
+    """(q, r) with a == q*b + r over Z/p and deg r < deg b.
+
+    Only lc(b) is inverted, so any modulus serves when lc(b) is a unit.  The
+    coefficients of a may be any integers: the running remainder is reduced
+    only where a leading coefficient is read, and once at the end.
+    """
     if not b:
         raise ZeroDivisionError
-    r = [c % p for c in a]
     db = len(b) - 1
-    if len(r) - 1 < db:
-        return [], _gp_trim(r)
+    if len(a) - 1 < db:
+        return [], _gp_trim([c % p for c in a])
+    r = list(a)
     binv = pow(b[-1], -1, p)
+    low = b[:db]
     q = [0] * (len(r) - db)
     for i in range(len(r) - 1, db - 1, -1):
-        if r[i] % p:
-            c = r[i] * binv % p
+        c = r[i] % p * binv % p
+        if c:
             q[i - db] = c
-            for j, bc in enumerate(b):
-                r[i - db + j] = (r[i - db + j] - c * bc) % p
-    return _gp_trim(q), _gp_trim(r[:db])
+            j = i - db
+            r[j:i] = [x - c * y for x, y in zip(r[j:i], low)]
+    return _gp_trim(q), _gp_trim([c % p for c in r[:db]])
 
 
 def _gp_monic(a, p):
@@ -162,13 +197,54 @@ def _gp_extgcd(a, b, p):
     return r0, s0, t0
 
 
-def _gp_powmod(base, e, mod, p):
+# below this modulus degree a schoolbook remainder beats the reversed inverse
+_NEWTON_MIN_DEGREE = 16
+
+
+def _gp_reducer(mod, p):
+    """The remainder modulo a fixed mod over Z/p, as a function rem(a) of a
+    trimmed a with coefficients in [0, p) and deg a <= 2*deg mod - 2.
+
+    From degree _NEWTON_MIN_DEGREE on, rem reads the quotient off the reversed
+    inverse of mod modulo x^(deg mod - 1), built once by Newton iteration:
+    rev(q) = rev(a)*rev(mod)^-1 mod x^(deg a - deg mod + 1).  Below it rem is
+    _gp_divmod.  lc(mod) must be a unit modulo p.
+    """
+    n = len(mod) - 1
+    if n < _NEWTON_MIN_DEGREE:
+        return lambda a: _gp_divmod(a, mod, p)[1]
+    rev = mod[::-1]
+    inv = [pow(rev[0], -1, p)]
+    k = 1
+    while k < n - 1:
+        # inv <- inv - inv*(rev*inv - 1) mod x^k, doubling the precision
+        k = min(2 * k, n - 1)
+        e = [c % p for c in _kron_mul(rev[:k], inv)[:k]]
+        e[0] -= 1
+        t = _kron_mul(inv, e)
+        inv = [(x - y) % p for x, y in zip(inv + [0] * (k - len(inv)), t)]
+    low = mod[:n]
+
+    def rem(a):
+        m = len(a) - n
+        if m <= 0:
+            return a
+        q = [c % p for c in _kron_mul(a[:n - 1:-1], inv[:m])[:m]]
+        q.reverse()
+        return _gp_trim([(x - y) % p
+                         for x, y in zip(a[:n], _kron_mul(q, low))])
+
+    return rem
+
+
+def _gp_powmod(base, e, rem, p):
+    """base**e over Z/p modulo the modulus of rem = _gp_reducer(mod, p),
+    which callers build once per modulus; base must be reduced modulo it."""
     result = [1]
-    base = _gp_divmod(base, mod, p)[1]
     while e:
         if e & 1:
-            result = _gp_divmod(_gp_mul(result, base, p), mod, p)[1]
-        base = _gp_divmod(_gp_mul(base, base, p), mod, p)[1]
+            result = rem(_gp_mul(result, base, p))
+        base = rem(_gp_mul(base, base, p))
         e >>= 1
     return result
 
@@ -181,15 +257,17 @@ def _gp_ddf(f, p):
     """Distinct-degree split of a monic squarefree f over GF(p)."""
     out = []
     v = f[:]
+    rem = _gp_reducer(v, p)
     h = [0, 1]
     i = 1
     while len(v) - 1 >= 2 * i:
-        h = _gp_powmod(h, p, v, p)
+        h = _gp_powmod(h, p, rem, p)
         g = _gp_gcd(_gp_sub(h, [0, 1], p), v, p)
         if len(g) > 1:
             out.append((g, i))
             v = _gp_divmod(v, g, p)[0]
             h = _gp_divmod(h, v, p)[1]
+            rem = _gp_reducer(v, p)
         i += 1
     if len(v) > 1:
         out.append((v, len(v) - 1))
@@ -201,11 +279,12 @@ def _gp_edf(g, d, p, rng):
     if len(g) - 1 == d:
         return [g]
     e = (p ** d - 1) // 2
+    rem = _gp_reducer(g, p)
     while True:
         a = _gp_trim([rng.randrange(p) for _ in range(len(g) - 1)])
         if len(a) < 2:
             continue
-        t = _gp_sub(_gp_powmod(a, e, g, p), [1], p)
+        t = _gp_sub(_gp_powmod(a, e, rem, p), [1], p)
         u = _gp_gcd(t, g, p)
         if 1 <= len(u) - 1 < len(g) - 1:
             q = _gp_divmod(g, u, p)[0]

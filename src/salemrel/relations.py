@@ -39,6 +39,14 @@ _MAX_PRECISION_BITS = 1024
 # 2 cores, Python 3.11), so the largest accepted screen, s = 10 with
 # sum |m_j| <= 11 (9.2 million vectors), takes about 8 s
 _MAX_SCREEN_VECTORS = 10 ** 7
+# refining s beta boxes to width 2^-(2*precision_bits) and, on a near miss,
+# again to 2^-(4*precision_bits) runs about 6*precision_bits bisections per
+# box, each an integer Horner pass of s+1 steps on operands of up to about
+# 4*s*precision_bits bits; _refine_work models that time as
+# s^2*p*(1 + s*p^2/2^19) units, which took 7-14 us each from s = 4 to
+# s = 100 on 2 cores (Python 3.11), so the largest accepted refinement takes
+# 6-10 s
+_MAX_REFINE_WORK = 750_000
 
 CERTIFIED_TRACE = "certified_trace"
 CERTIFIED_PAIRSUM = "certified_pairsum"
@@ -301,6 +309,14 @@ def _screen_size(s: int, max_sum: int) -> int:
     return (points - 1) // 2
 
 
+def _refine_work(s: int, precision_bits: int) -> int:
+    """Work units of refining s beta boxes to width 2^-(2*precision_bits)
+    and, on a near miss, to 2^-(4*precision_bits): s^2*p Horner steps plus
+    s^3*p^3/2^19 for their growing operands."""
+    p = precision_bits
+    return s * s * p * ((1 << 19) + s * p * p) >> 19
+
+
 def _integer_ends(boxes):
     """The boxes' endpoints as integer numerators over their common
     denominator: (lo numerators, hi numerators, denominator)."""
@@ -315,8 +331,9 @@ def _survivors(cert: SalemCertificate, max_sum: int, precision_bits: int):
     first nonzero entry whose beta sum encloses 0 on boxes of width
     2^-(2*precision_bits), as a lazy iterator in lexicographic order.
 
-    The screen's size is checked against _MAX_SCREEN_VECTORS before any box
-    is refined.  One walk over the vector tree carries each vector's interval
+    The screen's size is checked against _MAX_SCREEN_VECTORS, and the cost
+    of refining the boxes against _MAX_REFINE_WORK, before any box is
+    refined.  One walk over the vector tree carries each vector's interval
     sum as integer numerators over the boxes' common denominator, built from
     its parent's sum with one multiply-add per endpoint.  A sum that misses 0
     by less than 2^-(precision_bits//2) is decided once more on boxes of
@@ -328,6 +345,12 @@ def _survivors(cert: SalemCertificate, max_sum: int, precision_bits: int):
         raise ValueError(
             f"screen of {count} reduced vectors exceeds the cap of "
             f"{_MAX_SCREEN_VECTORS}; lower the length bound")
+    work = _refine_work(s, precision_bits)
+    if work > _MAX_REFINE_WORK:
+        raise ValueError(
+            f"refining {s} beta boxes at {precision_bits} bits costs {work} "
+            f"work units, over the budget of {_MAX_REFINE_WORK}; lower the "
+            f"precision")
     lo, hi, den = _integer_ends(
         [refine(b, Fraction(1, 1 << (2 * precision_bits)))
          for b in cert.beta_boxes])
@@ -395,8 +418,10 @@ def find_relations(cert: SalemCertificate, max_length: int,
     Screens every reduced vector with 2*sum|m_j| <= max_length against the
     refined beta boxes, then attaches an exact certification status; the
     constant vector appears (flagged trivial) exactly when the trace is 0.
-    precision_bits must lie in [1, 1024], and a screen of more than 10^7
-    reduced vectors is refused with a ValueError before any work starts.
+    precision_bits must lie in [1, 1024].  A screen of more than 10^7
+    reduced vectors, or box refinement over _MAX_REFINE_WORK (6-10 s; at
+    64 bits it admits up to 84 betas), is refused with a ValueError before
+    any work starts.
     """
     if not 1 <= max_length <= MAX_LENGTH_LIMIT:
         raise ValueError(f"max_length must be in [1, {MAX_LENGTH_LIMIT}]")
@@ -422,7 +447,8 @@ def find_relations(cert: SalemCertificate, max_length: int,
 def min_length_scan(cert: SalemCertificate, bound: int) -> bool:
     """True when no nontrivial relation of conjugate-level length below the
     bound survives screening at 128-bit precision; stops at the first one
-    that does.  The screen's size is capped as in find_relations."""
+    that does.  The screen's size and refinement cost are capped as in
+    find_relations."""
     if not 1 <= bound <= MAX_LENGTH_LIMIT:
         raise ValueError(f"bound must be in [1, {MAX_LENGTH_LIMIT}]")
     return all(len(set(reduced)) == 1

@@ -339,6 +339,17 @@ def test_relations_screen_capped(capsys):
         "of 10000000; lower the length bound\n")
 
 
+def test_relations_refinement_capped(capsys):
+    # bisecting 50 beta boxes to width 2^-1024 alone took 45 s
+    start = time.perf_counter()
+    assert cli.run(["relations", "x^100-x^98-x^97-x^3-x^2+1",
+                    "--max-length", "2", "--precision", "512"]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "error: refining 50 beta boxes at 512 bits costs 33280000 work "
+        "units, over the budget of 750000; lower the precision\n")
+
+
 def test_parse_exponent_capped(capsys):
     assert cli.run(["parse", "x^99999999999"]) == 1
     assert capsys.readouterr().err == \
@@ -355,16 +366,6 @@ def test_stdin_dash(capsys, monkeypatch):
     code, doc = _run_json(capsys, ["salem-check", "-"])
     assert code == 0
     assert doc["result"]["rejection"]["kind"] == "DegreeTooSmall"
-
-
-def test_threads_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("SALEMREL_THREADS", "2")
-    assert cli.run(["parse", "x+1"]) == 0
-    capsys.readouterr()
-    for bad in ("0", "-1", "lots"):
-        monkeypatch.setenv("SALEMREL_THREADS", bad)
-        assert cli.run(["parse", "x+1"]) == 1
-        assert "SALEMREL_THREADS" in capsys.readouterr().err
 
 
 def test_output_deterministic(capsys):

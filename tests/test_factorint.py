@@ -1,7 +1,11 @@
 import random
+import time
+from unittest import mock
 
 import pytest
 
+from salemrel import factorint
+from salemrel.cyclo import cyclotomic
 from salemrel.factorint import (DegreeTooLargeError, factor, is_irreducible,
                                 kronecker_factor_oracle,
                                 squarefree_decomposition)
@@ -72,6 +76,29 @@ def test_content_sign_and_power_handling():
 
     p = IntPoly((-1, 1)) ** 2 * IntPoly((1, 1))
     assert _as_dict(factor(p)) == {IntPoly((-1, 1)): 2, IntPoly((1, 1)): 1}
+
+
+def test_high_degree_cyclotomic_times_eisenstein():
+    # x^21 + 8x^7 - 6x^3 + 4x + 2 is irreducible by Eisenstein at 2
+    eis = IntPoly((2, 4, 0, -6, 0, 0, 0, 8) + (0,) * 13 + (1,))
+    phi17, phi32, phi39 = cyclotomic(17), cyclotomic(32), cyclotomic(39)
+    p = phi17 * phi32 * phi39 ** 2 * eis
+    assert p.degree == 101
+    with mock.patch.object(factorint, "_gp_reducer",
+                           wraps=factorint._gp_reducer) as reducer, \
+            mock.patch.object(factorint, "_hensel_multilift",
+                              wraps=factorint._hensel_multilift) as lift:
+        start = time.perf_counter()
+        fz = factor(p)
+        assert time.perf_counter() - start < 2.0
+    assert fz.content == 1
+    assert fz.factors == ((phi32, 1), (phi17, 1), (eis, 1), (phi39, 2))
+    assert fz.expand() == p
+    # fixed-modulus powering takes the reversed-inverse path, and Hensel
+    # lifting splits more than two modular factors
+    assert max(len(c.args[0]) - 1 for c in reducer.call_args_list) >= \
+        factorint._NEWTON_MIN_DEGREE
+    assert max(len(c.args[1]) for c in lift.call_args_list) >= 3
 
 
 def test_trace_lift_of_linear_shift_two():

@@ -2,8 +2,9 @@
 evaluation kernel of realroots (interval Horner, bisection, Sturm sign
 variations) against rational-arithmetic references, the canonical print form
 against the parser, exact division against rational long division, modular
-division by a monic divisor modulo composite moduli, the modular factoriser
-against the interpolation oracle, and the integer relation screen against
+division by a monic divisor modulo composite moduli, the packed modular
+multiplication, division and fixed-modulus powering against schoolbook
+copies, the modular factoriser against the interpolation oracle, and the integer relation screen against
 per-vector rational interval sums.  Example counts stay small and the search
 is derandomized so every run checks the same cases."""
 
@@ -17,7 +18,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from salemrel import relations
-from salemrel.factorint import _gp_divmod, factor, kronecker_factor_oracle
+from salemrel.factorint import (_gp_divmod, _gp_mul, _gp_powmod,
+                                _gp_reducer, factor, kronecker_factor_oracle)
 from salemrel.parsing import parse_poly
 from salemrel.polyarith import IntPoly, div_exact, format_poly
 from salemrel.realroots import (NEG_INF, POS_INF, RootBox, _poly_range,
@@ -183,6 +185,120 @@ def test_gp_divmod_monic_divisor_composite_modulus(a, b_low, m):
     diff = IntPoly(tuple(a)) - (IntPoly(tuple(q)) * IntPoly(tuple(b))
                                 + IntPoly(tuple(r)))
     assert all(c % m == 0 for c in diff.coeffs)
+
+
+def _school_trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _school_mul(a, b, p):
+    """Schoolbook product over Z/p, one multiply per coefficient pair: the
+    reference for _gp_mul."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return _school_trim([c % p for c in out])
+
+
+def _school_divmod(a, b, p):
+    """Schoolbook long division over Z/p, reducing every coefficient it
+    touches: the reference for _gp_divmod."""
+    r = [c % p for c in a]
+    db = len(b) - 1
+    if len(r) - 1 < db:
+        return [], _school_trim(r)
+    binv = pow(b[-1], -1, p)
+    q = [0] * (len(r) - db)
+    for i in range(len(r) - 1, db - 1, -1):
+        if r[i] % p:
+            c = r[i] * binv % p
+            q[i - db] = c
+            for j, bc in enumerate(b):
+                r[i - db + j] = (r[i - db + j] - c * bc) % p
+    return _school_trim(q), _school_trim(r[:db])
+
+
+def _school_powmod(base, e, mod, p):
+    """Square-and-multiply with a long division after every product: the
+    reference for _gp_powmod."""
+    result = [1]
+    base = _school_divmod(base, mod, p)[1]
+    while e:
+        if e & 1:
+            result = _school_divmod(_school_mul(result, base, p), mod, p)[1]
+        base = _school_divmod(_school_mul(base, base, p), mod, p)[1]
+        e >>= 1
+    return result
+
+
+_KERNEL_MODULI = (5, 7, 101, 5 ** 8, 2 ** 64)
+
+
+def _residues(m, min_size=0):
+    """Up to 40 residues modulo m, with 0, 1 and m - 1 drawn often."""
+    values = st.one_of(st.integers(0, m - 1), st.sampled_from((0, 1, m - 1)))
+    return st.lists(values, min_size=min_size, max_size=40)
+
+
+@st.composite
+def _unit_lc_poly(draw, m, min_degree=0):
+    """A polynomial modulo m, up to degree 40, whose leading coefficient is
+    a unit modulo m."""
+    low = draw(_residues(m, min_size=min_degree))
+    lc = draw(st.integers(1, m - 1).filter(lambda c: math.gcd(c, m) == 1))
+    return low + [lc]
+
+
+@_PROPERTY
+@given(st.sampled_from(_KERNEL_MODULI).flatmap(
+    lambda m: st.tuples(st.just(m), _residues(m), _residues(m))))
+# every coefficient at its maximum fills each packed slot to the last bit
+@example((5, [4] * 40, [4] * 40))
+@example((2 ** 64, [2 ** 64 - 1] * 33, [2 ** 64 - 1] * 33))
+@example((101, [100], [100] * 7))
+def test_gp_mul_matches_schoolbook(case):
+    m, a, b = case
+    assert _gp_mul(a, b, m) == _school_mul(a, b, m)
+
+
+@_PROPERTY
+@given(st.sampled_from(_KERNEL_MODULI).flatmap(
+    lambda m: st.tuples(st.just(m),
+                        st.lists(st.integers(-2 * m, 2 * m), max_size=60),
+                        _unit_lc_poly(m))))
+def test_gp_divmod_matches_schoolbook(case):
+    m, a, b = case
+    assert _gp_divmod(a, b, m) == _school_divmod(a, b, m)
+
+
+@st.composite
+def _powmod_case(draw):
+    m = draw(st.sampled_from(_KERNEL_MODULI))
+    mod = draw(_unit_lc_poly(m, min_degree=1))
+    d = draw(st.integers(1, 3))
+    e = draw(st.one_of(st.sampled_from((0, 1, m, (m ** d - 1) // 2)),
+                       st.integers(2, 1000)))
+    return m, draw(_residues(m)), e, mod
+
+
+@_PROPERTY
+@given(_powmod_case())
+# moduli of degree 3, 18 and 34, on both sides of _NEWTON_MIN_DEGREE; at
+# 18 and 34 the last Newton step is the only one reaching x^(deg mod - 1)
+@example((5, [4, 4, 4, 4, 4], 5, [2, 0, 1, 1]))
+@example((7, [3, 1], 7, [1] * 18 + [1]))
+@example((101, [5, 0, 2], (101 ** 2 - 1) // 2, [3] * 34 + [2]))
+def test_gp_powmod_matches_schoolbook(case):
+    m, base, e, mod = case
+    reduced = _gp_divmod(base, mod, m)[1]
+    assert _gp_powmod(reduced, e, _gp_reducer(mod, m), m) == \
+        _school_powmod(base, e, mod, m)
 
 
 _factor_poly = st.lists(st.integers(-5, 5), min_size=2, max_size=4).filter(
