@@ -1,6 +1,8 @@
 """Exact real-root counting, isolation, and refinement for integer polynomials.
 
-Root counting uses Sturm chains built on the squarefree part.  All interval
+Root counting uses Sturm chains built on the squarefree part.  A chain is
+one primitive remainder sequence, and its values at a point follow from the
+first two by the sequence's own three-term recurrence.  All interval
 endpoints are rational (or +-infinity), all signs are evaluated exactly, and
 every returned interval certificate (RootBox) either brackets exactly one real
 root with a strict sign change or pins a rational root exactly.
@@ -13,8 +15,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Union
 
-from .polyarith import (IntPoly, _scaled_value, _subresultant_prs,
-                        div_exact, poly_gcd)
+from .polyarith import IntPoly, _pseudo_divmod, _scaled_value, div_exact
 
 POS_INF = math.inf
 NEG_INF = -math.inf
@@ -74,15 +75,7 @@ class RootBox:
 
 def squarefree_part(p: IntPoly) -> IntPoly:
     """Primitive polynomial with the same roots as p, all simple."""
-    if p.is_zero:
-        raise ValueError("nonzero polynomial required")
-    pp = p.primitive_part()
-    if pp.degree < 1:
-        return pp
-    g = poly_gcd(pp, pp.derivative())
-    if g.degree < 1:
-        return pp
-    return div_exact(pp, g)
+    return _sqf_and_chain(p)[0]
 
 
 def _sign(x: int) -> int:
@@ -94,52 +87,103 @@ def _sign_at(p: IntPoly, x) -> int:
     return _sign(_scaled_value(p.coeffs, x.numerator, x.denominator))
 
 
+class _SturmChain(tuple):
+    """Sturm chain F0, F1, ..., Fk as a tuple of IntPolys, with the steps of
+    its remainder sequence: for i = 1..k-1, steps[i-1] is (m, Q, kappa, e)
+    with m*F[i-1] == Q*F[i] + kappa*F[i+1] and e = deg F[i-1] - deg F[i+1]."""
+
+    def __new__(cls, elements, steps):
+        chain = super().__new__(cls, elements)
+        chain.steps = steps
+        return chain
+
+
+def _primitive_prs(f0: IntPoly) -> _SturmChain:
+    """Primitive PRS from f0 and the primitive part of f0'.
+
+    F[i+1] is the primitive part of -sign(m)*prem(F[i-1], F[i]), where
+    m = lc(F[i])**(delta+1) and delta = deg F[i-1] - deg F[i], so every
+    element is a positive rational multiple of the textbook Sturm element
+    (negated remainders).  The sequence stops at a constant element, or at a
+    zero remainder, which leaves gcd(f0, f0') as the last element."""
+    f1 = f0.derivative().primitive_part()
+    chain, steps = [f0, f1], []
+    a, b = f0.coeffs, f1.coeffs
+    while len(b) > 1:
+        m = b[-1] ** (len(a) - len(b) + 1)
+        q, r = _pseudo_divmod(a, b)
+        if not r:
+            break
+        g = math.gcd(*r)
+        kappa = g if m < 0 else -g
+        c = tuple(x // kappa for x in r)
+        steps.append((m, q, kappa, len(a) - len(c)))
+        chain.append(IntPoly(c))
+        a, b = b, c
+    return _SturmChain(chain, tuple(steps))
+
+
 @functools.lru_cache(maxsize=512)
-def _sqf_and_chain(p: IntPoly) -> tuple[IntPoly, tuple[IntPoly, ...]]:
-    """Squarefree part and its Sturm chain.
+def _sqf_and_chain(p: IntPoly) -> tuple[IntPoly, _SturmChain]:
+    """Squarefree part of p and its Sturm chain.
 
-    The chain is computed with the subresultant PRS for speed; a running sign
-    is tracked so every stored element is a positive rational multiple of the
-    textbook Sturm element (negated remainders), which is what the
-    sign-variation count requires.
-    """
-    sqf = squarefree_part(p)
+    One primitive PRS runs on the primitive part of p.  When it ends in a
+    constant, p is squarefree; otherwise its last element is gcd(p, p') up
+    to a scalar, and the chain is rebuilt on p divided by it."""
+    if p.is_zero:
+        raise ValueError("nonzero polynomial required")
+    sqf = p.primitive_part()
     if sqf.degree < 1:
-        return sqf, (sqf,)
-    f0 = sqf
-    f1 = sqf.derivative().primitive_part()
-    chain = [f0, f1]
-    # signs of the multipliers relating the last two PRS elements to the
-    # true Sturm elements, and the leading coefficient of the last one
-    s_a, s_b, lc_b = 1, 1, f1.lc
-    for r, delta, divisor in _subresultant_prs(f0.coeffs, f1.coeffs):
-        s_new = -(_sign(lc_b) ** (delta + 1)) * s_a * _sign(divisor)
-        chain.append((IntPoly(r) * s_new).primitive_part())
-        s_a, s_b, lc_b = s_b, s_new, r[-1]
-    return sqf, tuple(chain)
+        return sqf, _SturmChain((sqf,), ())
+    chain = _primitive_prs(sqf)
+    g = chain[-1]
+    if g.degree >= 1:
+        sqf = div_exact(sqf, -g if g.lc < 0 else g)
+        chain = _primitive_prs(sqf)
+    return sqf, chain
 
 
-def _variations(chain, point) -> int:
-    """Sign variations of the chain at a rational point or at +-inf.
+def _chain_values(chain: _SturmChain, n: int, d: int) -> list[int]:
+    """d**deg(F) * F(n/d) for every element F of the chain.
 
-    A finite point n/d is decomposed once and every element is evaluated as
-    the integer d**deg * f(n/d)."""
-    if point is POS_INF:
-        signs = [_sign(f.lc) for f in chain]
-    elif point is NEG_INF:
-        signs = [_sign(f.lc) * (-1) ** (len(f.coeffs) - 1) for f in chain]
-    else:
-        n, d = point.numerator, point.denominator
-        signs = [_sign(_scaled_value(f.coeffs, n, d)) for f in chain]
+    F0 and F1 are evaluated by Horner; each later value comes from the
+    previous two by kappa*d**e*V[i+1] == m*V[i-1] - d**delta*Q(n/d)*V[i],
+    whose division is exact (a shift when d is a power of two)."""
+    values = [_scaled_value(f.coeffs, n, d) for f in chain[:2]]
+    if chain.steps:
+        dyadic = not d & (d - 1)
+        k = d.bit_length() - 1
+        u, v = values
+        for m, q, kappa, e in chain.steps:
+            # Q is linear unless the degrees drop by more than one
+            qv = q[1] * n + q[0] * d if len(q) == 2 \
+                else _scaled_value(q, n, d)
+            t = (m * u - qv * v) // kappa
+            u, v = v, (t >> (k * e) if dyadic else t // d ** e)
+            values.append(v)
+    return values
+
+
+def _sign_changes(values) -> int:
+    """Sign changes along the sequence, zeros skipped."""
     count = 0
     last = 0
-    for s in signs:
-        if s == 0:
-            continue
-        if last != 0 and s != last:
-            count += 1
-        last = s
+    for v in values:
+        if v:
+            if last and (v < 0) != (last < 0):
+                count += 1
+            last = v
     return count
+
+
+def _variations(chain: _SturmChain, point) -> int:
+    """Sign variations of the chain at a rational point or at +-inf."""
+    if point is POS_INF:
+        return _sign_changes(f.lc for f in chain)
+    if point is NEG_INF:
+        return _sign_changes(-f.lc if f.degree & 1 else f.lc for f in chain)
+    return _sign_changes(_chain_values(chain, point.numerator,
+                                       point.denominator))
 
 
 def _as_point(value: Point, side: str):
@@ -233,17 +277,18 @@ def isolate_roots(p: IntPoly) -> list[RootBox]:
     """
     if p.is_zero:
         raise ValueError("nonzero polynomial required")
-    sqf = squarefree_part(p)
+    sqf, chain = _sqf_and_chain(p)
     if sqf.degree < 1:
         return []
     bound = root_bound(sqf)
     boxes: list[RootBox] = []
-    work = [(Fraction(-bound), Fraction(bound), sqf)]
+    a, b = Fraction(-bound), Fraction(bound)
+    # (a, b, w, chain of w, variations at a, variations at b): the counts
+    # travel with the interval, so each node evaluates only its midpoint
+    work = [(a, b, sqf, chain, _variations(chain, a), _variations(chain, b))]
     while work:
-        a, b, w = work.pop()
-        if w.degree < 1:
-            continue
-        n = _count_open(w, a, b)
+        a, b, w, chain, va, vb = work.pop()
+        n = va - vb
         if n == 0:
             continue
         if n == 1:
@@ -257,14 +302,21 @@ def isolate_roots(p: IntPoly) -> list[RootBox]:
                 boxes.append(RootBox(sqf, aa, bb))
                 continue
         mid = (a + b) / 2
-        if _sign_at(w, mid) == 0:
+        num, den = mid.numerator, mid.denominator
+        values = _chain_values(chain, num, den)
+        if values[0] == 0:
             boxes.append(RootBox(sqf, mid, mid, exact=mid))
-            num, den = mid.numerator, mid.denominator
             w = div_exact(w, IntPoly((-num, den)))
-            if w.degree >= 1 and _sign_at(w, mid) == 0:
+            if w.degree < 1:
+                continue
+            if _sign_at(w, mid) == 0:
                 raise AssertionError("squarefree part had a repeated root")
-        work.append((a, mid, w))
-        work.append((mid, b, w))
+            _, chain = _sqf_and_chain(w)
+            va, vm, vb = (_variations(chain, x) for x in (a, mid, b))
+        else:
+            vm = _sign_changes(values)
+        work.append((a, mid, w, chain, va, vm))
+        work.append((mid, b, w, chain, vm, vb))
     boxes.sort(key=lambda bx: (bx.lo, bx.hi))
     return boxes
 

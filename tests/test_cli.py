@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -297,6 +298,27 @@ def test_relations_command(capsys):
 
     assert cli.run(["relations", DEG8, "--max-length", "8", "--verify"]) == 0
     capsys.readouterr()
+
+
+def test_relations_verify_refines_only_for_certified_reports(capsys,
+                                                             monkeypatch):
+    calls = []
+    real_refine = cli.refine
+
+    def counting_refine(box, eps):
+        calls.append(eps)
+        return real_refine(box, eps)
+
+    monkeypatch.setattr(cli, "refine", counting_refine)
+    # no relation of length <= 2: nothing to re-screen, so no box is refined
+    assert cli.run(["relations", DEG8, "--max-length", "2", "--verify"]) == 0
+    assert capsys.readouterr().out == ("no relations found\n"
+                                       "verified: all cross-checks passed\n")
+    assert calls == []
+    # the certified length-4 relation is re-screened on all four beta boxes
+    assert cli.run(["relations", DEG8, "--max-length", "8", "--verify"]) == 0
+    capsys.readouterr()
+    assert calls == [Fraction(1, 1 << 256)] * 4
 
 
 def test_parse_command(capsys):

@@ -20,13 +20,17 @@ from hypothesis import strategies as st
 from salemrel import relations
 from salemrel.factorint import (_gp_divmod, _gp_mul, _gp_powmod,
                                 _gp_reducer, factor, kronecker_factor_oracle)
+from salemrel.cyclo import seq_poly
 from salemrel.parsing import parse_poly
-from salemrel.polyarith import IntPoly, div_exact, format_poly
-from salemrel.realroots import (NEG_INF, POS_INF, RootBox, _poly_range,
-                                _sqf_and_chain, _variations, count_roots,
-                                isolate_roots, refine, root_bound)
+from salemrel.polyarith import (IntPoly, _scaled_value, div_exact,
+                                format_poly, trace_project)
+from salemrel.realroots import (NEG_INF, POS_INF, RootBox, _chain_values,
+                                _clear_endpoint, _poly_range, _sqf_and_chain,
+                                _variations, count_roots, isolate_roots,
+                                refine, root_bound)
 from salemrel.relations import _sum_interval, _survivors
-from salemrel.salemkit import salem_check
+from salemrel.salemkit import (FAMILIES, family_degree_shift, salem_check,
+                               trace0_salem)
 
 _PROPERTY = settings(max_examples=80, deadline=None, derandomize=True,
                      database=None)
@@ -116,10 +120,32 @@ def test_refine_matches_rational_bisection(p, a, b, eps):
     assert (box.lo, box.hi, box.exact) == _fraction_refine(p, lo, hi, eps)
 
 
+def _family_trace(family: int, d: int) -> IntPoly:
+    """Trace polynomial of the degree-d member of a sequence family."""
+    seq = FAMILIES[family - 1]
+    return trace_project(seq_poly(seq, d - family_degree_shift(seq)))
+
+
+# (x^2 - 2)^2 (x^3 - x + 1) (x - 1)^3 and (2x - 1)^2 (x^2 + x - 1): the chain
+# is built on the squarefree part after the first remainder sequence ends in
+# a nonconstant gcd
+_REPEATED = (_product([IntPoly((-2, 0, 1))] * 2 + [IntPoly((1, -1, 0, 1))]
+                      + [IntPoly((-1, 1))] * 3),
+             _product([IntPoly((-1, 2))] * 2 + [IntPoly((-1, 1, 1))]))
+
+
 @_PROPERTY
 @given(st.lists(st.integers(-12, 12), min_size=2, max_size=8)
        .filter(lambda cs: cs[-1] != 0),
        st.one_of(_rational, st.sampled_from((POS_INF, NEG_INF))))
+# chains of 21 to 51 elements, at non-dyadic and dyadic points
+@example(list(_family_trace(1, 40).coeffs), Fraction(1, 3))
+@example(list(_family_trace(2, 60).coeffs), Fraction(-7, 5))
+@example(list(_family_trace(3, 100).coeffs), Fraction(5, 12))
+@example(list(_family_trace(1, 82).coeffs), Fraction(3, 8))
+@example(list(_family_trace(2, 100).coeffs), NEG_INF)
+@example(list(_REPEATED[0].coeffs), Fraction(2, 3))
+@example(list(_REPEATED[1].coeffs), Fraction(1, 2))
 def test_variations_match_per_element_signs(coeffs, point):
     _, chain = _sqf_and_chain(IntPoly(tuple(coeffs)))
     if point in (POS_INF, NEG_INF):
@@ -131,6 +157,73 @@ def test_variations_match_per_element_signs(coeffs, point):
     signs = [s for s in (int(f.sign_at(at)) for f in chain) if s != 0]
     expected = sum(s != t for s, t in zip(signs, signs[1:]))
     assert _variations(chain, point) == expected
+
+
+_chain_poly = st.one_of(
+    _nonzero_poly,
+    st.tuples(_nonzero_poly, _nonzero_poly).map(lambda t: t[0] * t[1] ** 2),
+    st.builds(_family_trace, st.sampled_from((1, 2, 3)),
+              st.integers(20, 50).map(lambda s: 2 * s)))
+
+
+@_PROPERTY
+@given(_chain_poly, _rational)
+@example(_REPEATED[0], Fraction(-9, 7))
+@example(_family_trace(3, 100), Fraction(-5, 3))
+def test_chain_values_match_per_element_scaled_values(p, x):
+    """The remainder-sequence recurrence gives every element's Horner
+    value."""
+    _, chain = _sqf_and_chain(p)
+    # a nonzero constant ends the chain of a squarefree polynomial
+    assert chain[-1].degree == 0
+    n, d = x.numerator, x.denominator
+    assert _chain_values(chain, n, d) == [_scaled_value(f.coeffs, n, d)
+                                          for f in chain]
+
+
+def _per_node_isolate(p: IntPoly):
+    """Bisection that recounts the roots between both endpoints at every
+    node, as (lo, hi, exact) triples: the reference for isolate_roots,
+    which carries the counts down from the parent node."""
+    sqf, _ = _sqf_and_chain(p)
+    bound = root_bound(sqf)
+    boxes = []
+    work = [(Fraction(-bound), Fraction(bound), sqf)]
+    while work:
+        a, b, w = work.pop()
+        if w.degree < 1:
+            continue
+        n = count_roots(w, a, b)
+        if n == 0:
+            continue
+        if n == 1:
+            if w.degree == 1:
+                r = Fraction(-w[0], w[1])
+                boxes.append((r, r, r))
+                continue
+            if b - a <= 1:
+                aa = _clear_endpoint(sqf, w, a, b, left=True)
+                bb = _clear_endpoint(sqf, w, aa, b, left=False)
+                boxes.append((aa, bb, None))
+                continue
+        mid = (a + b) / 2
+        if w.sign_at(mid) == 0:
+            boxes.append((mid, mid, mid))
+            w = div_exact(w, IntPoly((-mid.numerator, mid.denominator)))
+        work.append((a, mid, w))
+        work.append((mid, b, w))
+    return sorted(boxes, key=lambda t: (t[0], t[1]))
+
+
+def test_isolate_roots_matches_per_node_counting():
+    # times x(2x - 1)(3x - 1): the first midpoint, 0, is a root, so the
+    # counts are taken again on the reduced polynomial
+    rational = _product([IntPoly((0, 1)), IntPoly((-1, 2)), IntPoly((-1, 3))])
+    for d in range(6, 61, 2):
+        g = trace0_salem(d).trace_poly
+        for p in (g, g * rational) if d in (8, 20) else (g,):
+            boxes = [(bx.lo, bx.hi, bx.exact) for bx in isolate_roots(p)]
+            assert boxes == _per_node_isolate(p)
 
 
 @_PROPERTY
