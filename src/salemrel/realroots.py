@@ -155,10 +155,7 @@ def _chain_values(chain: _SturmChain, n: int, d: int) -> list[int]:
         k = d.bit_length() - 1
         u, v = values
         for m, q, kappa, e in chain.steps:
-            # Q is linear unless the degrees drop by more than one
-            qv = q[1] * n + q[0] * d if len(q) == 2 \
-                else _scaled_value(q, n, d)
-            t = (m * u - qv * v) // kappa
+            t = (m * u - _scaled_value(q, n, d) * v) // kappa
             u, v = v, (t >> (k * e) if dyadic else t // d ** e)
             values.append(v)
     return values
