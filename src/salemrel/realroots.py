@@ -336,43 +336,63 @@ def _clear_endpoint(sqf: IntPoly, w: IntPoly, a: Fraction, b: Fraction,
     raise AssertionError("could not separate endpoint from root")
 
 
-def refine(box: RootBox, eps) -> RootBox:
-    """Bisect a RootBox until its width is below eps.
-
-    A rational midpoint that happens to be the root collapses the box to an
-    exact degenerate certificate.  The bisection runs on integer numerators
-    over one denominator, which doubles at every step.
-    """
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if box.exact is not None:
-        return box
-    if box.poly.degree == 1:
-        r = Fraction(-box.poly[0], box.poly[1])
-        return RootBox(box.poly, r, r, exact=r)
-    lo, hi = box.lo, box.hi
+def _common_den(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
+    """The endpoints as integer numerators over their least common
+    denominator: (ln, hn, den) with lo == ln/den and hi == hn/den."""
     den = math.lcm(lo.denominator, hi.denominator)
-    ln = lo.numerator * (den // lo.denominator)
-    hn = hi.numerator * (den // hi.denominator)
-    # width (hn - ln)/den >= eps, cross-multiplied
-    if (hn - ln) * eps.denominator < eps.numerator * den:
-        return box
-    coeffs = box.poly.coeffs
-    s_lo = _sign(_scaled_value(coeffs, ln, den))
-    while (hn - ln) * eps.denominator >= eps.numerator * den:
+    return (lo.numerator * (den // lo.denominator),
+            hi.numerator * (den // hi.denominator), den)
+
+
+def _bisect(coeffs: tuple[int, ...], ln: int, hn: int, den: int, s_lo: int,
+            en: int, ed: int) -> tuple[int, int, int]:
+    """Bisect (ln/den, hn/den) until its width is below en/ed, given that p
+    (coefficients ascending) has the sign s_lo != 0 at ln/den and the other
+    sign at hn/den.  Returns the final (ln, hn, den); the denominator doubles
+    at every step.  When a midpoint, or the root of a linear p, is a root,
+    it is returned exactly as (n, n, d)."""
+    if len(coeffs) == 2:
+        c0, c1 = coeffs
+        return (-c0, -c0, c1) if c1 > 0 else (c0, c0, -c1)
+    # width (hn - ln)/den >= en/ed, cross-multiplied
+    while (hn - ln) * ed >= en * den:
         mn = ln + hn
         ln <<= 1
         hn <<= 1
         den <<= 1
         sm = _sign(_scaled_value(coeffs, mn, den))
         if sm == 0:
-            mid = Fraction(mn, den)
-            return RootBox(box.poly, mid, mid, exact=mid)
+            return mn, mn, den
         if sm == s_lo:
             ln = mn
         else:
             hn = mn
+    return ln, hn, den
+
+
+def refine(box: RootBox, eps) -> RootBox:
+    """Bisect a RootBox until its width is below eps.
+
+    A rational midpoint that happens to be the root collapses the box to an
+    exact degenerate certificate.  The bisection runs on integer numerators
+    over one denominator (`_bisect`).
+    """
+    eps = Fraction(eps)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    if box.exact is not None:
+        return box
+    coeffs = box.poly.coeffs
+    ln, hn, den = _common_den(box.lo, box.hi)
+    en, ed = eps.numerator, eps.denominator
+    # already narrow enough, unless p is linear and collapses to its root
+    if len(coeffs) > 2 and (hn - ln) * ed < en * den:
+        return box
+    ln, hn, den = _bisect(coeffs, ln, hn, den,
+                          _sign(_scaled_value(coeffs, ln, den)), en, ed)
+    if ln == hn:
+        mid = Fraction(ln, den)
+        return RootBox(box.poly, mid, mid, exact=mid)
     return RootBox(box.poly, Fraction(ln, den), Fraction(hn, den))
 
 
@@ -421,18 +441,17 @@ def sqrt_interval(lo: Fraction, hi: Fraction, bits: int = 64) -> tuple[Fraction,
 # -- interval evaluation ----------------------------------------------------------
 
 
-def _poly_range(p: IntPoly, lo: Fraction, hi: Fraction):
-    """Conservative range of p over [lo, hi] by interval Horner.
+def _scaled_range(coeffs: tuple[int, ...], ln: int, hn: int,
+                  den: int) -> tuple[int, int, int]:
+    """Conservative range of p (coefficients ascending) over
+    [ln/den, hn/den] by interval Horner on integers: (lo, hi, scale) with
+    scale = den**deg > 0 and lo/scale <= p <= hi/scale there.
 
-    The Horner steps run on integer numerators over a common denominator;
-    scaling by a positive power of it keeps every min/max choice, so the
-    bounds equal those of the same recurrence in rationals."""
-    coeffs = p.coeffs
+    Scaling every step by a positive power of den keeps every min/max
+    choice, so lo/scale and hi/scale equal the bounds of the same recurrence
+    in rationals."""
     if not coeffs:
-        return Fraction(0), Fraction(0)
-    den = math.lcm(lo.denominator, hi.denominator)
-    ln = lo.numerator * (den // lo.denominator)
-    hn = hi.numerator * (den // hi.denominator)
+        return 0, 0, 1
     rlo = rhi = coeffs[-1]
     scale = 1
     for c in coeffs[-2::-1]:
@@ -440,4 +459,11 @@ def _poly_range(p: IntPoly, lo: Fraction, hi: Fraction):
         a, b, cc, d = rlo * ln, rlo * hn, rhi * ln, rhi * hn
         rlo = min(a, b, cc, d) + c * scale
         rhi = max(a, b, cc, d) + c * scale
+    return rlo, rhi, scale
+
+
+def _poly_range(p: IntPoly, lo: Fraction, hi: Fraction):
+    """Conservative range of p over [lo, hi] by interval Horner, as
+    Fractions (`_scaled_range` over the endpoints' common denominator)."""
+    rlo, rhi, scale = _scaled_range(p.coeffs, *_common_den(lo, hi))
     return Fraction(rlo, scale), Fraction(rhi, scale)

@@ -39,13 +39,14 @@ _MAX_PRECISION_BITS = 1024
 # 2 cores, Python 3.11), so the largest accepted screen, s = 10 with
 # sum |m_j| <= 11 (9.2 million vectors), takes about 8 s
 _MAX_SCREEN_VECTORS = 10 ** 7
-# refining s beta boxes to width 2^-(2*precision_bits) and, on a near miss,
-# again to 2^-(4*precision_bits) runs about 6*precision_bits bisections per
+# _refine_work models refining s beta boxes to width 2^-(2*precision_bits)
+# and again to 2^-(4*precision_bits), about 6*precision_bits bisections per
 # box, each an integer Horner pass of s+1 steps on operands of up to about
-# 4*s*precision_bits bits; _refine_work models that time as
-# s^2*p*(1 + s*p^2/2^19) units, which took 7-14 us each from s = 4 to
-# s = 100 on 2 cores (Python 3.11), so the largest accepted refinement takes
-# 6-10 s
+# 4*s*precision_bits bits, as s^2*p*(1 + s*p^2/2^19) units, which took
+# 7-14 us each from s = 4 to s = 100 on 2 cores (Python 3.11); the screen
+# refines only to 2^-(2*precision_bits), so the model is conservative: at
+# the cap that refinement took 0.4-0.5 s (50 betas at 120 bits, 84 at 64,
+# 10 at 700)
 _MAX_REFINE_WORK = 750_000
 
 CERTIFIED_TRACE = "certified_trace"
@@ -311,8 +312,9 @@ def _screen_size(s: int, max_sum: int) -> int:
 
 def _refine_work(s: int, precision_bits: int) -> int:
     """Work units of refining s beta boxes to width 2^-(2*precision_bits)
-    and, on a near miss, to 2^-(4*precision_bits): s^2*p Horner steps plus
-    s^3*p^3/2^19 for their growing operands."""
+    and then to 2^-(4*precision_bits): s^2*p Horner steps plus s^3*p^3/2^19
+    for their growing operands.  The screen makes only the first
+    refinement, so this bound is conservative."""
     p = precision_bits
     return s * s * p * ((1 << 19) + s * p * p) >> 19
 
@@ -335,9 +337,9 @@ def _survivors(cert: SalemCertificate, max_sum: int, precision_bits: int):
     of refining the boxes against _MAX_REFINE_WORK, before any box is
     refined.  One walk over the vector tree carries each vector's interval
     sum as integer numerators over the boxes' common denominator, built from
-    its parent's sum with one multiply-add per endpoint.  A sum that misses 0
-    by less than 2^-(precision_bits//2) is decided once more on boxes of
-    width 2^-(4*precision_bits).
+    its parent's sum with one multiply-add per endpoint.  Finer boxes could
+    not change a verdict: `refine` continues the same bisection, so they
+    would lie inside these, and a sum that misses 0 here misses it there.
     """
     s = len(cert.beta_boxes)
     count = _screen_size(s, max_sum)
@@ -354,29 +356,8 @@ def _survivors(cert: SalemCertificate, max_sum: int, precision_bits: int):
     lo, hi, den = _integer_ends(
         [refine(b, Fraction(1, 1 << (2 * precision_bits)))
          for b in cert.beta_boxes])
-    # a sum misses 0 by dist with dist << (precision_bits//2) >= den exactly
-    # when dist >= t, so (a, b) is skipped when a >= t or b <= -t
-    t = -(-den >> (precision_bits // 2))
-    fine = None
     vec = [0] * s
     last = s - 1
-
-    def hit(a, b):
-        """vec is primitive and its sum, (a, b) over den, encloses 0; a near
-        miss is decided on the finer boxes."""
-        nonlocal fine
-        if math.gcd(*vec) != 1:
-            return False
-        if a <= 0 <= b:
-            return True
-        if fine is None:
-            fine = _integer_ends(
-                [refine(box, Fraction(1, 1 << (4 * precision_bits)))
-                 for box in cert.beta_boxes])
-        flo, fhi, _ = fine
-        a = sum(m * (flo[j] if m > 0 else fhi[j]) for j, m in enumerate(vec))
-        b = sum(m * (fhi[j] if m > 0 else flo[j]) for j, m in enumerate(vec))
-        return a <= 0 <= b
 
     def walk(start, budget, a, b, started):
         """Every filling of vec[start:], which is zero on entry and on exit,
@@ -392,10 +373,10 @@ def _survivors(cert: SalemCertificate, max_sum: int, precision_bits: int):
                     ca, cb = a + c * h, b + c * l
                     if c > -budget and j < last:
                         yield from walk(j + 1, budget + c, ca, cb, True)
-                    elif ca < t and cb > -t and hit(ca, cb):
+                    elif ca <= 0 <= cb and math.gcd(*vec) == 1:
                         yield tuple(vec)
                 vec[j] = 0
-            if a < t and b > -t and hit(a, b):
+            if a <= 0 <= b and math.gcd(*vec) == 1:
                 yield tuple(vec)
         for j in range(last, start - 1, -1):
             l, h = lo[j], hi[j]
@@ -404,7 +385,7 @@ def _survivors(cert: SalemCertificate, max_sum: int, precision_bits: int):
                 ca, cb = a + c * l, b + c * h
                 if c < budget and j < last:
                     yield from walk(j + 1, budget - c, ca, cb, True)
-                elif ca < t and cb > -t and hit(ca, cb):
+                elif ca <= 0 <= cb and math.gcd(*vec) == 1:
                     yield tuple(vec)
             vec[j] = 0
 
@@ -419,9 +400,9 @@ def find_relations(cert: SalemCertificate, max_length: int,
     refined beta boxes, then attaches an exact certification status; the
     constant vector appears (flagged trivial) exactly when the trace is 0.
     precision_bits must lie in [1, 1024].  A screen of more than 10^7
-    reduced vectors, or box refinement over _MAX_REFINE_WORK (6-10 s; at
-    64 bits it admits up to 84 betas), is refused with a ValueError before
-    any work starts.
+    reduced vectors, or box refinement over _MAX_REFINE_WORK (a
+    conservative cost model; at 64 bits it admits up to 84 betas), is
+    refused with a ValueError before any work starts.
     """
     if not 1 <= max_length <= MAX_LENGTH_LIMIT:
         raise ValueError(f"max_length must be in [1, {MAX_LENGTH_LIMIT}]")

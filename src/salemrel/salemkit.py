@@ -17,13 +17,16 @@ from fractions import Fraction
 
 from .cyclo import SalemSeq, seq_poly, cyclotomic_progressions, ProgressionSet
 from .factorint import is_irreducible
-from .polyarith import (IntPoly, pair_sum_lift, trace, trace_lift,
-                        trace_project)
-from .realroots import (EndpointIsRootError, RootBox, _poly_range,
-                        count_roots, cubic_salem_split, isolate_roots, refine,
-                        sqrt_interval)
+from .polyarith import (IntPoly, _scaled_value, pair_sum_lift, trace,
+                        trace_lift, trace_project)
+from .realroots import (EndpointIsRootError, RootBox, _bisect, _common_den,
+                        _scaled_range, _sign, count_roots, cubic_salem_split,
+                        isolate_roots, refine, sqrt_interval)
 
 _BETA_WIDTH = Fraction(1, 1 << 16)
+# window search: width below which critical boxes stop being bisected
+_CRIT_WIDTH = Fraction(1, 64)
+_QUARTER = Fraction(1, 4)
 _ALPHA_BITS = 80
 
 
@@ -204,26 +207,42 @@ def _coeff_bound(k: int, j: int) -> int:
             + (6 * math.comb(k - 1, j - 1) * 2 ** (j - 1) if j >= 1 else 0))
 
 
-def _ceil_gt(x: Fraction) -> int:
-    """Smallest integer strictly greater than x."""
-    return math.floor(x) + 1
-
-
-def _floor_lt(x: Fraction) -> int:
-    """Largest integer strictly less than x."""
-    return math.ceil(x) - 1
+def _window_range(base: tuple[int, ...], slope: int, ranges, lo: int,
+                  hi: int) -> tuple[int, int]:
+    """The c in [lo, hi] for which D = base + c*slope passes the necessary
+    conditions of window_poly_search, where base (coefficients ascending,
+    degree m) has constant term 0 and slope > 0: D(1/4) > 0,
+    (-1)^m * D(-6) > 0, and weak alternation on the critical boxes, given
+    the integer range (lo, hi, scale) of base on each (`_scaled_range`):
+    D <= 0 somewhere in the first (largest) box, >= 0 somewhere in the next,
+    and so on.  Every bound is a floor division of integer numerators."""
+    m = len(base) - 1
+    # D(1/4) > 0, with base(1/4) scaled by 4^m
+    lo = max(lo, -_scaled_value(base, 1, 4) // (slope << 2 * m) + 1)
+    # (-1)^m * D(-6) > 0
+    val = _scaled_value(base, -6, 1)
+    if m % 2 == 0:
+        lo = max(lo, -val // slope + 1)
+    else:
+        hi = min(hi, -(val // slope) - 1)
+    for idx, (elo, ehi, scale) in enumerate(ranges):
+        if idx % 2 == 0:  # largest critical point first: need D <= 0
+            hi = min(hi, -elo // (scale * slope))
+        else:  # need D >= 0 somewhere in the box
+            lo = max(lo, -(ehi // (scale * slope)))
+    return lo, hi
 
 
 def _interlacing_range(ranges, slope: int, lo: int, hi: int) -> tuple[int, int]:
     """The c in [lo, hi] for which base + c*slope has strictly alternating
-    sign on the critical boxes, given the interval range of base on each:
-    < 0 on the first (largest) box, > 0 on the next, and so on.  Empty as
-    lo > hi."""
-    for idx, (elo, ehi) in enumerate(ranges):
+    sign on the critical boxes, given the integer range (lo, hi, scale) of
+    base on each: < 0 on the first (largest) box, > 0 on the next, and so
+    on.  Empty as lo > hi."""
+    for idx, (elo, ehi, scale) in enumerate(ranges):
         if idx % 2 == 0:
-            hi = min(hi, _floor_lt(-ehi / slope))
+            hi = min(hi, -(ehi // (scale * slope)) - 1)
         else:
-            lo = max(lo, _ceil_gt(-elo / slope))
+            lo = max(lo, -elo // (scale * slope) + 1)
     return lo, hi
 
 
@@ -237,83 +256,87 @@ def window_poly_search(k: int) -> list[IntPoly]:
     alternation at the critical points of D_m, the crude symmetric-function
     coefficient bound) clip the integer range before descending.
 
-    The caller holds a box around each root of D_m' = D_{m-1}.  Where D_m
-    has strictly alternating sign on those boxes (negative on the largest),
-    it is monotone between them and, with the strict endpoint signs, has
-    exactly one root in each of the m gaps they leave in (-6, 1/4) (Rolle):
-    the gaps are the next level's boxes, and at m == k the sign of h at -2
-    places its roots.  Elsewhere Sturm counts and isolation decide.
+    The caller holds a box around each root of D_m' = D_{m-1}, as an integer
+    triple (ln, hn, den): the interval [ln/den, hn/den] over one
+    denominator.  Where D_m has strictly alternating sign on those boxes
+    (negative on the largest), it is monotone between them and, with the
+    strict endpoint signs, has exactly one root in each of the m gaps they
+    leave in (-6, 1/4) (Rolle): the gaps, bisected on integer numerators,
+    are the next level's boxes, and at m == k the sign of h at -2 places its
+    roots.  Elsewhere Sturm counts and isolation decide.
     """
     if k < 2:
         raise ValueError("k >= 2 required")
-    quarter = Fraction(1, 4)
+    en, ed = _CRIT_WIDTH.numerator, _CRIT_WIDTH.denominator
     results: list[IntPoly] = []
 
     def descend(m: int, coeffs: list[int], crit_boxes):
-        # known part of D_m (descending powers), with the constant term open
+        # known part of D_m (ascending powers), with the constant term open
         slope = math.factorial(k - m)
         known = [math.factorial(k - j) // math.factorial(m - j) * c
                  for j, c in enumerate([1] + coeffs)]
-        base = IntPoly([0] + known[::-1])
-        lo_b = -_coeff_bound(k, m)
-        hi_b = _coeff_bound(k, m)
-        # D_m(1/4) > 0
-        lo_b = max(lo_b, _ceil_gt(-base.eval_fraction(quarter) / slope))
-        # (-1)^m * D_m(-6) > 0
-        val = base.eval_fraction(-6)
-        if m % 2 == 0:
-            lo_b = max(lo_b, _ceil_gt(-val / slope))
-        else:
-            hi_b = min(hi_b, _floor_lt(-val / slope))
-        # weak alternation at the critical points (roots of D_{m-1}, descending)
-        ranges = [_poly_range(base, blo, bhi) for blo, bhi in crit_boxes]
-        for idx, (elo, ehi) in enumerate(ranges):
-            if idx % 2 == 0:  # largest critical point first: need D_m <= 0
-                hi_b = min(hi_b, math.floor(-elo / slope))
-            else:  # need D_m >= 0 somewhere in the box
-                lo_b = max(lo_b, math.ceil(-ehi / slope))
+        base = (0, *reversed(known))
+        ranges = [_scaled_range(base, *box) for box in crit_boxes]
+        lo_b, hi_b = _window_range(base, slope, ranges, -_coeff_bound(k, m),
+                                   _coeff_bound(k, m))
         lo_i, hi_i = _interlacing_range(ranges, slope, lo_b, hi_b)
-        # gap i has D_m's sign (-1)^i at its upper end when D_m interlaces
-        gaps = list(zip([bhi for _, bhi in crit_boxes] + [Fraction(-6)],
-                        [quarter] + [blo for blo, _ in crit_boxes]))
+        # gap i runs from the top of critical box i (or -6) to the bottom of
+        # box i-1 (or 1/4), over one denominator; D_m has the sign (-1)^i at
+        # its upper end when D_m interlaces
+        gaps = []
+        for (an, ad), (bn, bd) in zip(
+                [(hn, den) for _, hn, den in crit_boxes] + [(-6, 1)],
+                [(1, 4)] + [(ln, den) for ln, _, den in crit_boxes]):
+            den = math.lcm(ad, bd)
+            gaps.append((an * (den // ad), bn * (den // bd), den))
         for c in range(lo_b, hi_b + 1):
             interlaces = lo_i <= c <= hi_i
+            d = (c * slope,) + base[1:]  # D_m; h itself when m == k
             if m == k:
-                h = IntPoly(tuple(reversed([1] + coeffs + [c])))
                 # one root below -2 and k-1 above give h(-2) the sign (-1)^(k-1)
-                s = h.sign_at(-2)
+                s = _sign(_scaled_value(d, -2, 1))
                 if s != (-1) ** (k - 1):
                     continue
                 if interlaces:
                     # h has one root per gap: the one in gap i lies below -2
                     # when the gap does, or when -2 is inside the gap and
                     # h(-2) already has the sign of the gap's upper end
-                    below = sum(b <= -2 or (a < -2 and s == (-1) ** i)
-                                for i, (a, b) in enumerate(gaps))
+                    below = sum(b <= -2 * den
+                                or (a < -2 * den and s == (-1) ** i)
+                                for i, (a, b, den) in enumerate(gaps))
                     if below == 1:
-                        results.append(h)
-                elif (h.sign_at(-6) != 0 and h.sign_at(quarter) != 0
-                        and count_roots(h, -2, quarter) == k - 1
+                        results.append(IntPoly(d))
+                    continue
+                h = IntPoly(d)
+                if (_scaled_value(d, -6, 1) != 0
+                        and _scaled_value(d, 1, 4) != 0
+                        and count_roots(h, -2, _QUARTER) == k - 1
                         and count_roots(h, -6, -2) == 1):
                     results.append(h)
                 continue
-            d_m = base + IntPoly((c * slope,))
             if interlaces:
-                boxes = [RootBox(d_m, a, b) for a, b in gaps]
+                boxes = []
+                for a, b, den in gaps:
+                    s_lo = _sign(_scaled_value(d, a, den))
+                    if s_lo * _sign(_scaled_value(d, b, den)) >= 0:
+                        raise ConstructionFailed(
+                            f"D_{m} does not change sign across a gap")
+                    boxes.append(_bisect(d, a, b, den, s_lo, en, ed))
             else:
+                d_m = IntPoly(d)
                 try:
-                    if count_roots(d_m, -6, quarter) != m:
+                    if count_roots(d_m, -6, _QUARTER) != m:
                         continue
                 except EndpointIsRootError:
                     # a derivative root on the window edge cannot come from
                     # a strictly confined h
                     continue
-                boxes = isolate_roots(d_m)
-                if len(boxes) != m:
+                found = isolate_roots(d_m)
+                if len(found) != m:
                     continue
-                boxes.reverse()
-            boxes = [refine(b, Fraction(1, 64)) for b in boxes]
-            descend(m + 1, coeffs + [c], [(b.lo, b.hi) for b in boxes])
+                boxes = [_common_den(box.lo, box.hi) for box in
+                         (refine(b, _CRIT_WIDTH) for b in reversed(found))]
+            descend(m + 1, coeffs + [c], boxes)
 
     descend(1, [], [])
     results.sort(key=IntPoly.sort_key)

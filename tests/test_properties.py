@@ -1,7 +1,8 @@
 """Property tests: exact root counting against isolation, the integer
 evaluation kernel of realroots (interval Horner, bisection, Sturm sign
-variations) against rational-arithmetic references, the canonical print form
-against the parser, exact division against rational long division, modular
+variations) and the window search's pruning bounds against
+rational-arithmetic references, the canonical print form against the
+parser, exact division against rational long division, modular
 division by a monic divisor modulo composite moduli, the packed modular
 multiplication, division and fixed-modulus powering against schoolbook
 copies, the modular factoriser against the interpolation oracle, and the integer relation screen against
@@ -25,11 +26,12 @@ from salemrel.parsing import parse_poly
 from salemrel.polyarith import (IntPoly, _scaled_value, div_exact,
                                 format_poly, trace_project)
 from salemrel.realroots import (NEG_INF, POS_INF, RootBox, _chain_values,
-                                _clear_endpoint, _poly_range, _sqf_and_chain,
-                                _variations, count_roots, isolate_roots,
-                                refine, root_bound)
+                                _clear_endpoint, _poly_range, _scaled_range,
+                                _sqf_and_chain, _variations, count_roots,
+                                isolate_roots, refine, root_bound)
 from salemrel.relations import _sum_interval, _survivors
-from salemrel.salemkit import (FAMILIES, family_degree_shift, salem_check,
+from salemrel.salemkit import (FAMILIES, _interlacing_range, _window_range,
+                               family_degree_shift, salem_check,
                                trace0_salem)
 
 _PROPERTY = settings(max_examples=80, deadline=None, derandomize=True,
@@ -71,6 +73,70 @@ _rational = st.builds(Fraction, st.integers(-40, 40),
 def test_poly_range_matches_rational_interval_horner(p, a, b):
     lo, hi = min(a, b), max(a, b)
     assert _poly_range(p, lo, hi) == _fraction_poly_range(p, lo, hi)
+
+
+def _ceil_gt(x: Fraction) -> int:
+    """Smallest integer strictly greater than x."""
+    return math.floor(x) + 1
+
+
+def _floor_lt(x: Fraction) -> int:
+    """Largest integer strictly less than x."""
+    return math.ceil(x) - 1
+
+
+def _fraction_window_bounds(base: IntPoly, slope: int, boxes, lo: int,
+                            hi: int):
+    """The window search's pruning bounds in rationals, by the Fraction
+    formulas: the reference for _window_range and _interlacing_range, as
+    (weak range, interlacing range)."""
+    lo = max(lo, _ceil_gt(-base.eval_fraction(Fraction(1, 4)) / slope))
+    val = base.eval_fraction(-6)
+    if base.degree % 2 == 0:
+        lo = max(lo, _ceil_gt(-val / slope))
+    else:
+        hi = min(hi, _floor_lt(-val / slope))
+    ranges = [_fraction_poly_range(base, a, b) for a, b in boxes]
+    for idx, (elo, ehi) in enumerate(ranges):
+        if idx % 2 == 0:
+            hi = min(hi, math.floor(-elo / slope))
+        else:
+            lo = max(lo, math.ceil(-ehi / slope))
+    ilo, ihi = lo, hi
+    for idx, (elo, ehi) in enumerate(ranges):
+        if idx % 2 == 0:
+            ihi = min(ihi, _floor_lt(-ehi / slope))
+        else:
+            ilo = max(ilo, _ceil_gt(-elo / slope))
+    return (lo, hi), (ilo, ihi)
+
+
+# integer triples (ln, hn, den), reduced or not, with dyadic and non-dyadic
+# denominators
+_triple = st.builds(lambda a, b, den: (min(a, b), max(a, b), den),
+                    st.integers(-400, 400), st.integers(-400, 400),
+                    st.sampled_from((1, 2, 3, 4, 5, 8, 12, 64, 96, 256)))
+
+
+@_PROPERTY
+@given(st.lists(st.integers(-60, 60), min_size=1, max_size=5)
+       .filter(lambda cs: cs[-1] != 0),
+       st.sampled_from((1, 2, 6, 24, 7)),
+       st.lists(_triple, max_size=4),
+       st.integers(-80, 0), st.integers(0, 80))
+@example([4, 6, 4, 1], 1, [(-30, -20, 8), (-3, 1, 4), (2, 5, 96)], -20, 20)
+def test_window_bounds_match_fraction_formulas(coeffs, slope, triples, lo,
+                                               hi):
+    base = (0, *coeffs)
+    boxes = [(Fraction(a, den), Fraction(b, den)) for a, b, den in triples]
+    ranges = [_scaled_range(base, *t) for t in triples]
+    ref = IntPoly(base)
+    for (rlo, rhi, scale), (a, b) in zip(ranges, boxes):
+        assert (Fraction(rlo, scale), Fraction(rhi, scale)) == \
+            _fraction_poly_range(ref, a, b)
+    weak, inter = _fraction_window_bounds(ref, slope, boxes, lo, hi)
+    assert _window_range(base, slope, ranges, lo, hi) == weak
+    assert _interlacing_range(ranges, slope, *weak) == inter
 
 
 def _fraction_refine(p: IntPoly, lo: Fraction, hi: Fraction, eps: Fraction):
@@ -428,8 +494,8 @@ def _reduced_vectors(s: int, max_sum: int):
 
 
 def _fraction_screen(cert, max_sum: int, precision_bits: int):
-    """The screen in rationals, one interval sum per vector: the reference
-    for _survivors, as (survivors, number of boxes refined)."""
+    """The screen in rationals, one interval sum per vector, deciding a near
+    miss once more on finer boxes: the reference for _survivors."""
     boxes = [refine(b, Fraction(1, 1 << (2 * precision_bits)))
              for b in cert.beta_boxes]
     near = Fraction(1, 1 << (precision_bits // 2))
@@ -447,13 +513,15 @@ def _fraction_screen(cert, max_sum: int, precision_bits: int):
             if not lo <= 0 <= hi:
                 continue
         survivors.append(reduced)
-    return survivors, len(boxes) * (1 if fine_boxes is None else 2)
+    return survivors
 
 
 def _integer_screen(cert, max_sum: int, precision_bits: int):
+    """_survivors, checking that it refines each beta box exactly once."""
     with mock.patch.object(relations, "refine", wraps=refine) as spy:
         survivors = list(_survivors(cert, max_sum, precision_bits))
-    return survivors, spy.call_count
+    assert spy.call_count == len(cert.beta_boxes)
+    return survivors
 
 
 _FRACTIONS_IN_UNIT = st.sampled_from(
@@ -492,12 +560,8 @@ def test_survivors_match_fraction_screen_on_random_boxes(boxes, max_sum,
 def test_survivors_match_fraction_screen_on_certificates(
         deg8_cert, deg12_cert, sextic_certs):
     c2 = salem_check(parse_poly("x^8-4x^7+6x^6-8x^5+9x^4-8x^3+6x^2-4x+1"))
-    escalated = 0
     for cert in (deg8_cert, deg12_cert, c2, *sextic_certs):
         for precision_bits in (*range(1, 9), 64):
             for max_sum in range(1, 5):
-                expected = _fraction_screen(cert, max_sum, precision_bits)
                 assert _integer_screen(cert, max_sum, precision_bits) == \
-                    expected
-                escalated += expected[1] > len(cert.beta_boxes)
-    assert escalated > 0
+                    _fraction_screen(cert, max_sum, precision_bits)

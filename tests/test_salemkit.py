@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -157,6 +158,34 @@ def test_window_search_sturm_path_matches_interlacing(monkeypatch):
                         lambda ranges, slope, lo, hi: (hi + 1, hi))
     for k, hs in default.items():
         assert window_poly_search(k) == hs
+
+
+# sha256 of repr([h.coeffs for h in window_poly_search(k)]): the exact
+# polynomials, in the search's sorted order
+_WINDOW_DIGESTS = {
+    2: "35d579a6a806e4ba82fbcf58615e50d8a2c647f74b7bf8aa59eb83fac72c0819",
+    3: "25b064d2eb186ead5382acdd222329e9fcc8050e4b8b28ad7c3e7461416dabf1",
+    4: "ba28702c82f6a71834a88dd99c1f8bc9ae0f321f245f0995791fd4b3c1074507",
+}
+
+
+def test_window_search_golden_digests():
+    for k, digest in _WINDOW_DIGESTS.items():
+        hs = window_poly_search(k)
+        assert hashlib.sha256(repr([h.coeffs for h in hs]).encode()
+                              ).hexdigest() == digest, k
+
+
+def test_window_search_interlacing_path_is_integer_only(monkeypatch):
+    # at k = 3 every node above the last level interlaces, and the last
+    # level falls back only to count_roots, so the search needs no RootBox,
+    # refinement or Fraction of salemkit's own
+    def forbidden(*args, **kwargs):
+        raise AssertionError("left the integer interlacing path")
+
+    for name in ("RootBox", "refine", "Fraction"):
+        monkeypatch.setattr(salemkit, name, forbidden)
+    assert len(window_poly_search(3)) == 73
 
 
 def test_pair_sum_trace_identity_on_search_results():
