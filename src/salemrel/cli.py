@@ -23,7 +23,7 @@ from .polyarith import (IntPoly, NotReciprocalError, OddDegreeError,
                         format_poly, pair_sum_lift, pair_sum_trace_poly,
                         poly_gcd, trace_lift, trace_project)
 from .realroots import count_roots, refine
-from .relations import _sum_interval, find_relations
+from .relations import NUMERIC_ONLY, _sum_interval, find_relations
 from .salemkit import (FAMILIES, ConstructionFailed, SalemCertificate,
                        bad_degrees, enum_deg6_trace0_detail, pair_sum_enum,
                        salem_check, trace0_salem_detail)
@@ -498,7 +498,7 @@ def _cmd_relations(args):
 
     def verify():
         fails = _verify_certificate(outcome)
-        certified = [rep for rep in reports if rep.status != "numeric_only"]
+        certified = [rep for rep in reports if rep.status != NUMERIC_ONLY]
         if not certified:
             return fails
         width = Fraction(1, 1 << (4 * args.precision))

@@ -8,7 +8,6 @@ point is used anywhere in this module.
 
 from __future__ import annotations
 
-import enum
 import math
 from fractions import Fraction
 from typing import Iterable, Union
@@ -26,20 +25,8 @@ class OddDegreeError(ValueError):
     """The operation requires an even-degree polynomial."""
 
 
-class Sign(enum.IntEnum):
-    """Sign of an exact quantity, ordered NEGATIVE < ZERO < POSITIVE."""
-
-    NEGATIVE = -1
-    ZERO = 0
-    POSITIVE = 1
-
-    @staticmethod
-    def of(value: Rational) -> "Sign":
-        if value > 0:
-            return Sign.POSITIVE
-        if value < 0:
-            return Sign.NEGATIVE
-        return Sign.ZERO
+def _sign(x: int) -> int:
+    return (x > 0) - (x < 0)
 
 
 def _trim(coeffs: Iterable[int]) -> tuple[int, ...]:
@@ -257,24 +244,19 @@ class IntPoly:
     # -- evaluation ------------------------------------------------------------
 
     def eval_int(self, t: int) -> int:
-        acc = 0
-        for c in reversed(self._coeffs):
-            acc = acc * t + c
-        return acc
+        return _scaled_value(self._coeffs, t, 1)
 
     def eval_fraction(self, t: Rational) -> Fraction:
         fr = Fraction(t)
-        n, d = fr.numerator, fr.denominator
-        if d == 1:
-            return Fraction(self.eval_int(n))
+        d = fr.denominator
         deg = max(len(self._coeffs) - 1, 0)
-        return Fraction(_scaled_value(self._coeffs, n, d), d ** deg)
+        return Fraction(_scaled_value(self._coeffs, fr.numerator, d), d ** deg)
 
-    def sign_at(self, t: Rational) -> Sign:
+    def sign_at(self, t: Rational) -> int:
         """Exact sign of p(t) via the scaled integer den**deg * p(num/den)."""
         fr = Fraction(t)
-        return Sign.of(_scaled_value(self._coeffs, fr.numerator,
-                                     fr.denominator))
+        return _sign(_scaled_value(self._coeffs, fr.numerator,
+                                   fr.denominator))
 
     # -- printing ----------------------------------------------------------------
 
@@ -340,35 +322,34 @@ def _pseudo_divmod(a: tuple[int, ...], b: tuple[int, ...]):
     return _long_div(a, b)
 
 
-def _subresultant_prs(a: tuple[int, ...], b: tuple[int, ...]):
-    """Subresultant PRS of coefficient tuples a and b, len(a) >= len(b).
+def _primitive_prs(a: tuple[int, ...], b: tuple[int, ...]):
+    """Primitive PRS of coefficient tuples a and b, len(a) >= len(b) >= 1.
 
-    Yields (r, delta, divisor) for each nonzero element after b: r is
-    prem(a_i, b_i) divided exactly by divisor, delta is deg a_i - deg b_i,
-    and (b_i, r) is the next pair.  Stops at a zero remainder or a constant
-    element.  The divisors keep coefficient growth polynomial in the degree.
+    Yields (m, q, kappa, c) for each element c after b, where
+    m = lc(B)**(deg A - deg B + 1) and m*A == q*B + kappa*c for the previous
+    two elements A, B; c is primitive and kappa carries the sign that makes
+    c a positive multiple of -sign(m)*prem(A, B), the Sturm sign.  Stops at
+    a zero remainder, which leaves gcd(a, b) up to a scalar as the last
+    element, or at a constant element.
     """
-    g = h = 1
     while len(b) > 1:
-        delta = len(a) - len(b)
-        r = _pseudo_divmod(a, b)[1]
+        m = b[-1] ** (len(a) - len(b) + 1)
+        q, r = _pseudo_divmod(a, b)
         if not r:
             return
-        divisor = g * h ** delta
-        r = tuple(c // divisor for c in r)
-        yield r, delta, divisor
-        a, b = b, r
-        g = a[-1]
-        if delta >= 1:
-            h = g ** delta // h ** (delta - 1)
-        # delta == 0 leaves h unchanged
+        g = math.gcd(*r)
+        kappa = g if m < 0 else -g
+        c = tuple(x // kappa for x in r)
+        yield m, q, kappa, c
+        a, b = b, c
 
 
 def poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
     """Gcd over the rationals as a primitive polynomial with positive lc.
 
-    Computed with the subresultant polynomial remainder sequence, which keeps
-    intermediate coefficients from exploding the way rational-PRS gcds do.
+    Computed with the primitive polynomial remainder sequence, the one the
+    Sturm chains of realroots use; dividing out each remainder's content
+    keeps intermediate coefficients from exploding.
     """
     if p.is_zero and q.is_zero:
         return IntPoly()
@@ -380,7 +361,7 @@ def poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
     b = q.primitive_part().coeffs
     if len(a) < len(b):
         a, b = b, a
-    for b, _, _ in _subresultant_prs(a, b):
+    for *_, b in _primitive_prs(a, b):
         pass
     if len(b) == 1:
         # nonzero constant: coprime over Q
@@ -473,11 +454,7 @@ def pair_sum_lift(h: IntPoly) -> IntPoly:
     (-1)**k h(y - y^2) whose roots pair up with sum 1; stage two is trace_lift.
     The result is self-reciprocal of degree 4k.
     """
-    k = h.degree
-    if not h.is_monic or k < 1:
-        raise ValueError("monic polynomial of degree >= 1 required")
-    g = pair_sum_trace_poly(h)
-    return trace_lift(g)
+    return trace_lift(pair_sum_trace_poly(h))
 
 
 def pair_sum_trace_poly(h: IntPoly) -> IntPoly:

@@ -15,7 +15,8 @@ import math
 from fractions import Fraction
 from typing import Optional, Union
 
-from .polyarith import IntPoly, _pseudo_divmod, _scaled_value, div_exact
+from .polyarith import (IntPoly, _primitive_prs, _scaled_value, _sign,
+                        div_exact)
 
 POS_INF = math.inf
 NEG_INF = -math.inf
@@ -78,10 +79,6 @@ def squarefree_part(p: IntPoly) -> IntPoly:
     return _sqf_and_chain(p)[0]
 
 
-def _sign(x: int) -> int:
-    return (x > 0) - (x < 0)
-
-
 def _sign_at(p: IntPoly, x) -> int:
     """Sign of p at the rational x, from the integer den**deg * p(num/den)."""
     return _sign(_scaled_value(p.coeffs, x.numerator, x.denominator))
@@ -98,28 +95,17 @@ class _SturmChain(tuple):
         return chain
 
 
-def _primitive_prs(f0: IntPoly) -> _SturmChain:
-    """Primitive PRS from f0 and the primitive part of f0'.
-
-    F[i+1] is the primitive part of -sign(m)*prem(F[i-1], F[i]), where
-    m = lc(F[i])**(delta+1) and delta = deg F[i-1] - deg F[i], so every
-    element is a positive rational multiple of the textbook Sturm element
-    (negated remainders).  The sequence stops at a constant element, or at a
-    zero remainder, which leaves gcd(f0, f0') as the last element."""
+def _sturm_chain(f0: IntPoly) -> _SturmChain:
+    """Sturm chain of f0: f0, the primitive part of f0', and the primitive
+    PRS of the two (`polyarith._primitive_prs`).  Every element is a
+    positive rational multiple of the textbook Sturm element (negated
+    remainders).  The chain stops at a constant element, or at a zero
+    remainder, which leaves gcd(f0, f0') as the last element."""
     f1 = f0.derivative().primitive_part()
     chain, steps = [f0, f1], []
-    a, b = f0.coeffs, f1.coeffs
-    while len(b) > 1:
-        m = b[-1] ** (len(a) - len(b) + 1)
-        q, r = _pseudo_divmod(a, b)
-        if not r:
-            break
-        g = math.gcd(*r)
-        kappa = g if m < 0 else -g
-        c = tuple(x // kappa for x in r)
-        steps.append((m, q, kappa, len(a) - len(c)))
+    for m, q, kappa, c in _primitive_prs(f0.coeffs, f1.coeffs):
+        steps.append((m, q, kappa, len(chain[-2].coeffs) - len(c)))
         chain.append(IntPoly(c))
-        a, b = b, c
     return _SturmChain(chain, tuple(steps))
 
 
@@ -135,11 +121,11 @@ def _sqf_and_chain(p: IntPoly) -> tuple[IntPoly, _SturmChain]:
     sqf = p.primitive_part()
     if sqf.degree < 1:
         return sqf, _SturmChain((sqf,), ())
-    chain = _primitive_prs(sqf)
+    chain = _sturm_chain(sqf)
     g = chain[-1]
     if g.degree >= 1:
         sqf = div_exact(sqf, -g if g.lc < 0 else g)
-        chain = _primitive_prs(sqf)
+        chain = _sturm_chain(sqf)
     return sqf, chain
 
 

@@ -31,22 +31,22 @@ from .realroots import _poly_range, refine
 from .salemkit import SalemCertificate
 
 MAX_LENGTH_LIMIT = 24
-# screening may bisect every beta box to width 2^-(4*precision_bits), and the
-# cost of that bisection grows faster than linearly in precision_bits; the
-# bound is 16 times the default
+# screening bisects every beta box to width 2^-(2*precision_bits) and
+# `relations --verify` to 2^-(4*precision_bits), at a cost that grows faster
+# than linearly in precision_bits; the bound is 16 times the default
 _MAX_PRECISION_BITS = 1024
 # the screen costs about 1 us per vector (0.8-1.5 us from 64 to 1024 bits on
 # 2 cores, Python 3.11), so the largest accepted screen, s = 10 with
 # sum |m_j| <= 11 (9.2 million vectors), takes about 8 s
 _MAX_SCREEN_VECTORS = 10 ** 7
-# _refine_work models refining s beta boxes to width 2^-(2*precision_bits)
-# and again to 2^-(4*precision_bits), about 6*precision_bits bisections per
-# box, each an integer Horner pass of s+1 steps on operands of up to about
-# 4*s*precision_bits bits, as s^2*p*(1 + s*p^2/2^19) units, which took
-# 7-14 us each from s = 4 to s = 100 on 2 cores (Python 3.11); the screen
-# refines only to 2^-(2*precision_bits), so the model is conservative: at
-# the cap that refinement took 0.4-0.5 s (50 betas at 120 bits, 84 at 64,
-# 10 at 700)
+# _refine_work models refining s beta boxes to width 2^-(2*precision_bits),
+# as the screen does, and again to 2^-(4*precision_bits), as `relations
+# --verify` does when a report is certified: about 6*precision_bits
+# bisections per box, each an integer Horner pass of s+1 steps on operands
+# of up to about 4*s*precision_bits bits, as s^2*p*(1 + s*p^2/2^19) units,
+# which took 7-14 us each from s = 4 to s = 100 on 2 cores (Python 3.11).
+# At the cap (50 betas at 120 bits, 84 at 64, 10 at 700) the screen's
+# refinement took 0.7-1.2 s and the --verify refinement 4.7-6.7 s
 _MAX_REFINE_WORK = 750_000
 
 CERTIFIED_TRACE = "certified_trace"
@@ -127,32 +127,6 @@ def _sum_interval(boxes, reduced):
 
 
 # -- exact certification patterns ---------------------------------------------------
-
-
-def _recover_window_poly(g: IntPoly):
-    """Monic integer h with g = (-1)^k h(x(1-x)), or None.
-
-    h is read off top-down in powers of u = x - x^2, the way trace_project
-    peels off powers of x^2 + 1: u^j has degree 2j and leading coefficient
-    (-1)^j, so every step is exact and a nonzero remainder means no h exists.
-    """
-    if g.degree < 2 or g.degree % 2 != 0 or not g.is_monic:
-        return None  # h monic of degree k forces g monic of degree 2k
-    k = g.degree // 2
-    rem = -g if k % 2 else g
-    u = IntPoly((0, 1, -1))
-    powers = [IntPoly.one()]
-    for _ in range(k):
-        powers.append(powers[-1] * u)
-    out = [0] * (k + 1)
-    for j in range(k, -1, -1):
-        c = rem[2 * j] * (-1) ** j
-        out[j] = c
-        if c:
-            rem = rem - powers[j] * c
-    if not rem.is_zero:
-        return None
-    return IntPoly(out)
 
 
 def _poly_sqrt(r: IntPoly):
@@ -255,11 +229,14 @@ class _CertStructures:
 def _structures(cert: SalemCertificate) -> _CertStructures:
     g = cert.trace_poly
     pairing = None
-    if _recover_window_poly(g) is not None:
-        # g = +-h(x - x^2) is fixed by x -> 1 - x, which maps the roots of g
-        # onto themselves and reverses their order; beta_boxes is descending,
-        # so beta_i + beta_(s-1-i) = 1.  No beta is the fixed point 1/2,
-        # because g is irreducible of degree >= 2.
+    if g.compose(IntPoly((1, -1))) == g:
+        # g(1 - x) = g(x), so x -> 1 - x maps the roots of g onto themselves
+        # and reverses their order; beta_boxes is descending, so
+        # beta_i + beta_(s-1-i) = 1.  No beta is the fixed point 1/2,
+        # because g is irreducible of degree >= 2.  For monic g this is the
+        # pair-sum form g = +-h(x - x^2) with h monic: g lies in Q[x - x^2],
+        # and peeling off powers of x - x^2 (leading coefficient -1) keeps
+        # every coefficient integral.
         s = len(cert.beta_boxes)
         pairing = tuple((i, s - 1 - i) for i in range(s // 2))
     group_a = None
@@ -313,8 +290,8 @@ def _screen_size(s: int, max_sum: int) -> int:
 def _refine_work(s: int, precision_bits: int) -> int:
     """Work units of refining s beta boxes to width 2^-(2*precision_bits)
     and then to 2^-(4*precision_bits): s^2*p Horner steps plus s^3*p^3/2^19
-    for their growing operands.  The screen makes only the first
-    refinement, so this bound is conservative."""
+    for their growing operands.  The screen makes the first refinement;
+    `relations --verify` makes the second whenever a report is certified."""
     p = precision_bits
     return s * s * p * ((1 << 19) + s * p * p) >> 19
 
@@ -400,9 +377,10 @@ def find_relations(cert: SalemCertificate, max_length: int,
     refined beta boxes, then attaches an exact certification status; the
     constant vector appears (flagged trivial) exactly when the trace is 0.
     precision_bits must lie in [1, 1024].  A screen of more than 10^7
-    reduced vectors, or box refinement over _MAX_REFINE_WORK (a
-    conservative cost model; at 64 bits it admits up to 84 betas), is
-    refused with a ValueError before any work starts.
+    reduced vectors, or box refinement over _MAX_REFINE_WORK (a cost model
+    that also prices the finer refinement of `relations --verify`; at 64
+    bits it admits up to 84 betas), is refused with a ValueError before any
+    work starts.
     """
     if not 1 <= max_length <= MAX_LENGTH_LIMIT:
         raise ValueError(f"max_length must be in [1, {MAX_LENGTH_LIMIT}]")

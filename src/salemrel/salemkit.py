@@ -17,10 +17,10 @@ from fractions import Fraction
 
 from .cyclo import SalemSeq, seq_poly, cyclotomic_progressions, ProgressionSet
 from .factorint import is_irreducible
-from .polyarith import (IntPoly, _scaled_value, pair_sum_lift, trace,
+from .polyarith import (IntPoly, _scaled_value, _sign, pair_sum_lift, trace,
                         trace_lift, trace_project)
 from .realroots import (EndpointIsRootError, RootBox, _bisect, _common_den,
-                        _scaled_range, _sign, count_roots, cubic_salem_split,
+                        _scaled_range, count_roots, cubic_salem_split,
                         isolate_roots, refine, sqrt_interval)
 
 _BETA_WIDTH = Fraction(1, 1 << 16)

@@ -5,9 +5,11 @@ rational-arithmetic references, the canonical print form against the
 parser, exact division against rational long division, modular
 division by a monic divisor modulo composite moduli, the packed modular
 multiplication, division and fixed-modulus powering against schoolbook
-copies, the modular factoriser against the interpolation oracle, and the integer relation screen against
-per-vector rational interval sums.  Example counts stay small and the search
-is derandomized so every run checks the same cases."""
+copies, poly_gcd and its remainder sequence against Euclid over the
+rationals, the modular factoriser against the interpolation oracle, and
+the integer relation screen against per-vector rational interval sums.
+Example counts stay small and the search is derandomized so every run
+checks the same cases."""
 
 import math
 from fractions import Fraction
@@ -23,8 +25,9 @@ from salemrel.factorint import (_gp_divmod, _gp_mul, _gp_powmod,
                                 _gp_reducer, factor, kronecker_factor_oracle)
 from salemrel.cyclo import seq_poly
 from salemrel.parsing import parse_poly
-from salemrel.polyarith import (IntPoly, _scaled_value, div_exact,
-                                format_poly, trace_project)
+from salemrel.polyarith import (IntPoly, _primitive_prs, _scaled_value,
+                                div_exact, format_poly, poly_gcd,
+                                trace_project)
 from salemrel.realroots import (NEG_INF, POS_INF, RootBox, _chain_values,
                                 _clear_endpoint, _poly_range, _scaled_range,
                                 _sqf_and_chain, _variations, count_roots,
@@ -331,6 +334,56 @@ def test_div_exact_matches_rational_division(a, b, k, r):
     else:
         assert div_exact(p, q) == expected
     assert div_exact(a * b, b) == a
+
+
+def _fraction_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
+    """Euclid's algorithm over Fraction coefficients, the result scaled to a
+    primitive integer polynomial with positive leading coefficient: the
+    reference for poly_gcd."""
+    a = [Fraction(c) for c in p.coeffs]
+    b = [Fraction(c) for c in q.coeffs]
+    while b:
+        while len(a) >= len(b):
+            f = a[-1] / b[-1]
+            shift = len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] -= f * c
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    if not a:
+        return IntPoly()
+    den = math.lcm(*(c.denominator for c in a))
+    ints = [int(c * den) for c in a]
+    g = math.gcd(*ints)
+    return IntPoly(tuple(c // (g if ints[-1] > 0 else -g) for c in ints))
+
+
+_gcd_factor = st.lists(st.integers(-12, 12), max_size=5).map(
+    lambda cs: IntPoly(tuple(cs)))
+
+
+@_PROPERTY
+@given(_gcd_factor, _gcd_factor, _gcd_factor, st.integers(1, 3))
+@example(IntPoly(), IntPoly(), IntPoly((1, 1)), 1)
+@example(IntPoly((6,)), IntPoly((-4,)), IntPoly((3,)), 1)
+@example(IntPoly((0, 2, -3)), IntPoly((5,)), IntPoly((1, 0, -1)), 2)
+@example(IntPoly((-1, 0, -2)), IntPoly(), IntPoly((2, -1, -1)), 3)
+def test_poly_gcd_matches_rational_euclid(a, b, g, k):
+    # a*g^k and b*g^k share g^k, a repeated factor when k > 1; zero,
+    # constant and negative-leading inputs come from the draws and examples
+    p, q = a * g ** k, b * g ** k
+    assert poly_gcd(p, q) == _fraction_gcd(p, q)
+    if p.is_zero or q.is_zero:
+        return
+    # every step of the remainder sequence satisfies m*A == q*B + kappa*c
+    prev, cur = p.primitive_part().coeffs, q.primitive_part().coeffs
+    if len(prev) < len(cur):
+        prev, cur = cur, prev
+    for m, quo, kappa, c in _primitive_prs(prev, cur):
+        assert (IntPoly(prev) * m
+                == IntPoly(quo) * IntPoly(cur) + IntPoly(c) * kappa)
+        prev, cur = cur, c
 
 
 @_PROPERTY

@@ -13,10 +13,9 @@ from salemrel.realroots import RootBox, _poly_range, refine, sqrt_interval
 from salemrel.relations import (CERTIFIED_PAIRSUM, CERTIFIED_QUADSPLIT,
                                 CERTIFIED_TRACE, NUMERIC_ONLY,
                                 PairingViolation, RelationVector,
-                                _find_quadsplit, _recover_window_poly,
-                                _screen_size, _structures, _survivors,
-                                certify, find_relations, min_length_scan,
-                                pair_reduce)
+                                _find_quadsplit, _screen_size, _structures,
+                                _survivors, certify, find_relations,
+                                min_length_scan, pair_reduce)
 from salemrel.salemkit import (pair_sum_enum, salem_check, trace0_salem,
                                window_poly_search)
 
@@ -128,18 +127,23 @@ def test_certify_trace_poly_without_window_form():
     assert certify(cert, (1, -1)) == NUMERIC_ONLY
 
 
-def test_recover_window_poly_round_trip():
+def test_pairing_is_the_one_minus_x_symmetry():
+    # every pair-sum trace polynomial g = +-h(x - x^2) is fixed by
+    # x -> 1 - x, and perturbing it breaks the symmetry
     rng = random.Random(1905)
     hs = window_poly_search(2) + window_poly_search(3)
     hs += [IntPoly(tuple(rng.randint(-30, 30) for _ in range(k)) + (1,))
            for k in range(1, 9) for _ in range(8)]
+    flip = IntPoly((1, -1))
     for h in hs:
         g = pair_sum_trace_poly(h)
-        assert _recover_window_poly(g) == h
-        assert _recover_window_poly(g + IntPoly.x()) is None
-        assert _recover_window_poly(g * IntPoly.x()) is None  # odd degree
-        assert _recover_window_poly(g * 2) is None  # h would not be monic
-    assert _recover_window_poly(IntPoly((1, 0, 0, 1))) is None
+        assert g.compose(flip) == g
+        for other in (g + IntPoly.x(), g * IntPoly.x()):
+            assert other.compose(flip) != other
+    # no trace-zero member has the pairing; the pair-sum certificates and
+    # the norm-form one are checked in the next test
+    for d in range(6, 31, 2):
+        assert _structures(trace0_salem(d)).pairing is None
 
 
 def _structure_certs(deg12_cert):
