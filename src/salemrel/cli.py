@@ -38,7 +38,8 @@ class _InputError(Exception):
 # caps on the size arguments, checked before any work starts: each command's
 # time and memory grow with them without limit (on 2 cores, seq --n 10**6
 # takes about 1.5 s, bad-degrees --max-degree 10**6 about 2.5 s and 5 MB of
-# output, trace0 --degree 400 about 4 s)
+# output, trace0 --degree 400 about 1.6 s, or 3.6-3.9 s with --verify, which
+# factors its degree-200 trace polynomial)
 _MAX_SEQ_N = 10 ** 6
 _MAX_BAD_DEGREE = 10 ** 6
 _MAX_TRACE0_DEGREE = 400
@@ -124,9 +125,9 @@ def _rejection_doc(reason) -> dict:
 _ORACLE_MAX_VALUE = 1 << 32
 
 
-def _oracle_check(p: IntPoly, fac=None) -> list[str]:
-    """Compare fac, by default factor(p), with kronecker_factor_oracle(p) for
-    degree 1..8.
+def _oracle_check(p: IntPoly, fac) -> list[str]:
+    """Compare the factorization fac of p with kronecker_factor_oracle(p)
+    for degree 1..8.
 
     The oracle evaluates p at integers |x| <= reach = (deg + 3) // 2, where
     |p(x)| <= sum |c_i| * reach^deg; when that bound passes
@@ -139,8 +140,6 @@ def _oracle_check(p: IntPoly, fac=None) -> list[str]:
         print("note: factorization oracle skipped: coefficients too large "
               "for trial division", file=sys.stderr)
         return []
-    if fac is None:
-        fac = factor(p)
     oracle = kronecker_factor_oracle(p)
     if sorted(q.coeffs for q, _ in fac.factors) != \
             sorted(q.coeffs for q, _ in oracle.factors):
@@ -169,7 +168,12 @@ def _verify_certificate(cert: SalemCertificate) -> list[str]:
         fails.append("a beta box strays outside (-2, 2)")
     if f.sign_at(cert.alpha.lo) * f.sign_at(cert.alpha.hi) >= 0:
         fails.append("alpha box does not bracket a sign change of minpoly")
-    fails.extend(_oracle_check(g))
+    # certification decides irreducibility by Kronecker's theorem; the full
+    # factorization is an independent check of it at every degree
+    fac = factor(g)
+    if abs(fac.content) != 1 or [m for _, m in fac.factors] != [1]:
+        fails.append("trace polynomial is not irreducible")
+    fails.extend(_oracle_check(g, fac))
     return fails
 
 

@@ -60,6 +60,18 @@ class RootBox:
         self.hi = hi
         self.exact = exact
 
+    @classmethod
+    def _from_signs(cls, poly: IntPoly, lo: Fraction, hi: Fraction,
+                    slo: int, shi: int) -> "RootBox":
+        """Box on (lo, hi) whose caller has already evaluated poly exactly
+        at both endpoints, to the signs slo and shi, and knows that exactly
+        one root lies between them; the signs are not evaluated again."""
+        if not (lo < hi and slo * shi < 0):
+            raise ValueError("no sign change across the interval")
+        box = object.__new__(cls)
+        box.poly, box.lo, box.hi, box.exact = poly, lo, hi, None
+        return box
+
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
@@ -280,9 +292,11 @@ def isolate_roots(p: IntPoly) -> list[RootBox]:
                 boxes.append(RootBox(sqf, r, r, exact=r))
                 continue
             if b - a <= 1:
-                aa = _clear_endpoint(sqf, w, a, b, left=True)
-                bb = _clear_endpoint(sqf, w, aa, b, left=False)
-                boxes.append(RootBox(sqf, aa, bb))
+                aa, sa = _clear_endpoint(sqf, w, a, b, left=True)
+                bb, sb = _clear_endpoint(sqf, w, aa, b, left=False)
+                # sqf's roots in (a, b) are w's: the rational roots divided
+                # out of w all sit at midpoints, which are interval endpoints
+                boxes.append(RootBox._from_signs(sqf, aa, bb, sa, sb))
                 continue
         mid = (a + b) / 2
         num, den = mid.numerator, mid.denominator
@@ -305,20 +319,25 @@ def isolate_roots(p: IntPoly) -> list[RootBox]:
 
 
 def _clear_endpoint(sqf: IntPoly, w: IntPoly, a: Fraction, b: Fraction,
-                    left: bool) -> Fraction:
-    """Move an endpoint off any root of sqf without losing the w-root."""
+                    left: bool) -> tuple[Fraction, int]:
+    """Move an endpoint off any root of sqf without losing the w-root; the
+    new endpoint and the sign of sqf there."""
     e = a if left else b
-    if _sign_at(sqf, e) != 0:
-        return e
+    s = _sign_at(sqf, e)
+    if s:
+        return e, s
     # step toward the single w-root in (a, b); stop before reaching it
     span = b - a
     for j in range(1, 128):
         t = (a + span / (1 << j)) if left else (b - span / (1 << j))
-        if _sign_at(w, t) == 0 or _sign_at(sqf, t) == 0:
+        if _sign_at(w, t) == 0:
+            continue
+        s = _sign_at(sqf, t)
+        if s == 0:
             continue
         inner = _count_open(w, a, t) if left else _count_open(w, t, b)
         if inner == 0:
-            return t
+            return t, s
     raise AssertionError("could not separate endpoint from root")
 
 
@@ -374,12 +393,14 @@ def refine(box: RootBox, eps) -> RootBox:
     # already narrow enough, unless p is linear and collapses to its root
     if len(coeffs) > 2 and (hn - ln) * ed < en * den:
         return box
-    ln, hn, den = _bisect(coeffs, ln, hn, den,
-                          _sign(_scaled_value(coeffs, ln, den)), en, ed)
+    s_lo = _sign(_scaled_value(coeffs, ln, den))
+    ln, hn, den = _bisect(coeffs, ln, hn, den, s_lo, en, ed)
     if ln == hn:
         mid = Fraction(ln, den)
         return RootBox(box.poly, mid, mid, exact=mid)
-    return RootBox(box.poly, Fraction(ln, den), Fraction(hn, den))
+    # _bisect keeps the sign s_lo at ln and -s_lo at hn
+    return RootBox._from_signs(box.poly, Fraction(ln, den),
+                               Fraction(hn, den), s_lo, -s_lo)
 
 
 # -- window predicates for cubics x^3 - a*x + b ---------------------------------

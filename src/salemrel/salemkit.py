@@ -4,8 +4,10 @@ A monic reciprocal f of even degree 2s is the minimal polynomial of a Salem
 number exactly when it is irreducible and its trace polynomial g (with
 f(x) = x^s g(x + 1/x)) has one root in (2, oo) and s-1 roots in (-2, 2); the
 root beyond 2 is beta_1 = alpha + 1/alpha.  Everything here stays in exact
-rational arithmetic: root placement by Sturm counts, alpha bracketed through
-interval arithmetic on beta_1.
+rational arithmetic: root placement by Sturm counts, irreducibility of a
+placed g by Kronecker's theorem (a reducible one has a cyclotomic factor,
+found by gcds, with no factorization), alpha bracketed through interval
+arithmetic on beta_1.
 """
 
 from __future__ import annotations
@@ -16,9 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclo import SalemSeq, seq_poly, cyclotomic_progressions, ProgressionSet
-from .factorint import is_irreducible
-from .polyarith import (IntPoly, _scaled_value, _sign, pair_sum_lift, trace,
-                        trace_lift, trace_project)
+from .polyarith import (IntPoly, _scaled_value, _sign, pair_sum_lift,
+                        poly_gcd, trace, trace_lift, trace_project)
 from .realroots import (EndpointIsRootError, RootBox, _bisect, _common_den,
                         _scaled_range, count_roots, cubic_salem_split,
                         isolate_roots, refine, sqrt_interval)
@@ -101,6 +102,45 @@ def _alpha_box(f: IntPoly, beta1: RootBox) -> RootBox:
     return RootBox(f, alo, ahi)
 
 
+def _placed_reducible(g: IntPoly) -> bool:
+    """True iff g is reducible over Q, for a monic g of degree s >= 2 whose
+    placement holds: g(2) and g(-2) nonzero, one root in (2, oo) and s-1 in
+    (-2, 2).  The answer is exact only under that precondition.
+
+    Write g = E(x^2) + x*O(x^2) and T(y) = E(u)^2 - u*O(u)^2 with u = y + 2.
+    As g(x)*g(-x) = E(x^2)^2 - x^2*O(x^2)^2, T is monic up to sign and its
+    roots are the beta^2 - 2 over the roots beta of g.  g is reducible iff
+    g(0) == 0, gcd(E, O) != 1, gcd(g, T) != 1 or gcd(g(-x), T) != 1.
+
+    Placement gives g s distinct real roots.  If g is reducible, the factor
+    without beta_1, the root beyond 2, has all its roots in (-2, 2), so by
+    Kronecker's theorem it is a product of the minimal polynomials Psi_n of
+    2cos(2pi/n), n >= 3, and beta -> beta^2 - 2 maps the roots of Psi_n onto
+    those of Psi_(n/gcd(n, 2)).  n = 4 gives g(0) == 0.  For odd n, Psi_n
+    divides g and T.  For n = 2 mod 4 the negated roots of Psi_n are those
+    of Psi_(n/2), so Psi_(n/2) divides g(-x) and T.  For 4 | n, Psi_n is a
+    polynomial P(x^2), and P divides E and O.
+
+    If g is irreducible, so is g(-x), and a nontrivial gcd with T makes it
+    divide T.  g | T puts beta_1 among the roots of T: beta_1 = beta^2 - 2
+    with beta^2 > 4, so beta = beta_1 and beta_1 = 2.  g(-x) | T makes
+    -beta_1 < -2 a root of T, whose roots are >= -2.  A common root r of E
+    and O makes sqrt(r) a root of both g(x) and g(-x), so g(-x) = +-g(x)
+    and -beta_1 < -2 is a root of g.  Placement rules out all three, and
+    g(0) == 0 would split x off g.
+    """
+    if g[0] == 0:
+        return True
+    even, odd = IntPoly(g.coeffs[0::2]), IntPoly(g.coeffs[1::2])
+    if poly_gcd(even, odd).degree >= 1:
+        return True
+    u = IntPoly((2, 1))
+    eu, ou = even.compose(u), odd.compose(u)
+    t = eu * eu - u * ou * ou
+    g_neg = IntPoly(-c if i & 1 else c for i, c in enumerate(g.coeffs))
+    return poly_gcd(g, t).degree >= 1 or poly_gcd(g_neg, t).degree >= 1
+
+
 def salem_check(f: IntPoly):
     """SalemCertificate if f is a Salem minimal polynomial, else RejectionReason.
 
@@ -108,7 +148,9 @@ def salem_check(f: IntPoly):
     trace-polynomial root placement (one root in (2, oo), s-1 in (-2, 2)) ->
     irreducibility of the trace polynomial.  With the placement established,
     irreducibility of f is equivalent to irreducibility of g, so no complex
-    arithmetic is ever needed.
+    arithmetic is ever needed, and g is reducible only through a cyclotomic
+    factor, which three exact gcds detect (`_placed_reducible`); nothing is
+    factored.
     """
     if f.is_zero or not f.is_monic:
         return RejectionReason(RejectionKind.NOT_MONIC)
@@ -131,7 +173,7 @@ def salem_check(f: IntPoly):
     if n_band != s - 1:
         return RejectionReason(RejectionKind.ROOT_WINDOW_VIOLATION,
                                f"{n_band} roots in (-2,2) (need {s - 1})")
-    if not is_irreducible(g):
+    if _placed_reducible(g):
         return RejectionReason(RejectionKind.REDUCIBLE)
     boxes = [refine(b, _BETA_WIDTH) for b in isolate_roots(g)]
     boxes.reverse()
@@ -183,7 +225,9 @@ def enum_deg6_trace0_detail() -> Deg6Trace0Result:
     certs = []
     for a, b in pairs:
         cubic = IntPoly((b, -a, 0, 1))
-        if not is_irreducible(cubic):
+        # a monic cubic splits iff it has an integer root, which divides b
+        if any(cubic.eval_int(r) == 0 for d in range(1, abs(b) + 1)
+               if b % d == 0 for r in (d, -d)):
             discarded.append(cubic)
             continue
         cert = salem_check(trace_lift(cubic))

@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from salemrel import cli
-from salemrel.polyarith import IntPoly, trace_lift
+from salemrel import cli, salemkit
+from salemrel.polyarith import IntPoly, format_poly, trace_lift
 from salemrel.salemkit import (ConstructionFailed, enum_deg6_trace0,
                                pair_sum_enum)
 
@@ -103,6 +103,21 @@ def test_every_enumerated_certificate_verifies():
     assert len(certs) == 4 + 15 + 30
     for cert in certs:
         assert cli._verify_certificate(cert) == []
+
+
+def test_verify_flags_reducible_certificate(capsys, monkeypatch):
+    # g' = g*(x + 1) for the first sextic's g: its placement holds, so a
+    # certifier that skipped the irreducibility test would produce a
+    # consistent certificate for f' = trace_lift(g')
+    g = IntPoly((-1, -4, 0, 1)) * IntPoly((1, 1))
+    f = trace_lift(g)
+    monkeypatch.setattr(salemkit, "_placed_reducible", lambda g: False)
+    forged = salemkit.salem_check(f)
+    assert forged and forged.trace_poly == g and forged.minpoly == f
+    assert cli._verify_certificate(forged) == [
+        "trace polynomial is not irreducible"]
+    assert cli.run(["salem-check", format_poly(f), "--verify"]) == 2
+    assert "trace polynomial is not irreducible" in capsys.readouterr().err
 
 
 # -- document schema ----------------------------------------------------------------------

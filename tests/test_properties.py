@@ -271,8 +271,8 @@ def _per_node_isolate(p: IntPoly):
                 boxes.append((r, r, r))
                 continue
             if b - a <= 1:
-                aa = _clear_endpoint(sqf, w, a, b, left=True)
-                bb = _clear_endpoint(sqf, w, aa, b, left=False)
+                aa, _ = _clear_endpoint(sqf, w, a, b, left=True)
+                bb, _ = _clear_endpoint(sqf, w, aa, b, left=False)
                 boxes.append((aa, bb, None))
                 continue
         mid = (a + b) / 2
@@ -293,6 +293,33 @@ def test_isolate_roots_matches_per_node_counting():
         for p in (g, g * rational) if d in (8, 20) else (g,):
             boxes = [(bx.lo, bx.hi, bx.exact) for bx in isolate_roots(p)]
             assert boxes == _per_node_isolate(p)
+
+
+def _fraction_value(p: IntPoly, x: Fraction) -> Fraction:
+    """p(x) summed term by term in rationals."""
+    return sum((c * x ** i for i, c in enumerate(p.coeffs)), Fraction(0))
+
+
+@_PROPERTY
+@given(st.lists(_nonzero_poly.filter(lambda p: p.degree >= 1), min_size=1,
+                max_size=3),
+       st.sampled_from((Fraction(1, 3), Fraction(1, 64), Fraction(1, 10 ** 6))))
+# rational roots at the first midpoints and repeated factors
+@example([_product([IntPoly((0, 1)), IntPoly((-1, 2)), IntPoly((-1, 3))]),
+          _family_trace(1, 20)], Fraction(1, 64))
+@example([_REPEATED[0], _REPEATED[1]], Fraction(1, 3))
+def test_isolated_and_refined_boxes_show_a_sign_change(factors, eps):
+    """Boxes built without re-evaluating their endpoints still bracket a
+    strict sign change, or pin an exact root."""
+    for box in isolate_roots(_product(factors)):
+        for bx in (box, refine(box, eps)):
+            if bx.exact is not None:
+                assert bx.lo == bx.hi == bx.exact
+                assert _fraction_value(bx.poly, bx.exact) == 0
+            else:
+                assert bx.lo < bx.hi
+                assert (_fraction_value(bx.poly, bx.lo)
+                        * _fraction_value(bx.poly, bx.hi)) < 0
 
 
 @_PROPERTY

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from salemrel import salemkit
-from salemrel.cyclo import seq_poly
+from salemrel.cyclo import cyclotomic, seq_poly
+from salemrel.factorint import is_irreducible
 from salemrel.polyarith import (IntPoly, pair_sum_lift, pair_sum_trace_poly,
                                 trace_lift, trace_project)
 from salemrel.realroots import count_roots
@@ -72,6 +73,65 @@ def test_rejection_kinds_and_precedence():
 def test_rejects_reducible_window_passer():
     reason = salem_check(pair_sum_lift(IntPoly((2, 4, 1))))
     assert not reason and reason.kind is RejectionKind.REDUCIBLE
+
+
+def _placed(g: IntPoly) -> bool:
+    s = g.degree
+    return (g.sign_at(2) != 0 and g.sign_at(-2) != 0
+            and count_roots(g, 2, None) == 1 and count_roots(g, -2, 2) == s - 1)
+
+
+def test_placed_reducible_matches_factorization():
+    # the trace polynomials that reach salem_check's irreducibility test on
+    # the way to pair_sum_enum(2..4), enum_deg6_trace0 and trace0_salem(8..100):
+    # each family is tried until its member is irreducible
+    reached = [pair_sum_trace_poly(h) for k in (2, 3, 4)
+               for h in window_poly_search(k)]
+    reached += [c.trace_poly for c in enum_deg6_trace0()]
+    assert all(_placed(g) for g in reached)
+    oracle = {g: not is_irreducible(g) for g in reached}
+    for d in range(8, 101, 2):
+        for seq in FAMILIES:
+            n = d - family_degree_shift(seq)
+            g = trace_project(seq_poly(seq, n)) if n >= 2 else None
+            if g is not None and _placed(g):
+                reached.append(g)
+                oracle[g] = not is_irreducible(g)
+                if not oracle[g]:
+                    break
+    assert len(oracle) == len(reached) == 276
+    assert sum(oracle.values()) == 160
+    for g in reached:
+        assert salemkit._placed_reducible(g) == oracle[g], g
+
+
+def test_placed_reducible_on_cyclotomic_multiples():
+    # Psi_n, the trace polynomial of Phi_n, times the trace-0 members of
+    # degree 6..12: placement holds and every product is reducible
+    for d in (6, 8, 10, 12):
+        g = trace0_salem(d).trace_poly
+        for n in range(3, 40):
+            gp = g * trace_project(cyclotomic(n))
+            reason = salem_check(trace_lift(gp))
+            assert not reason and reason.kind is RejectionKind.REDUCIBLE, (d, n)
+
+
+@pytest.mark.parametrize("factor", [
+    (0, 1),       # x: g(0) == 0 (n = 4)
+    (1, 1),       # x + 1 (n = 3) and
+    (-1, 1, 1),   # x^2 + x - 1 (n = 5): gcd(g, T)
+    (-1, 1),      # x - 1 (n = 6) and
+    (-1, -1, 1),  # x^2 - x - 1 (n = 10): gcd(g(-x), T)
+    (-2, 0, 1),   # x^2 - 2 (n = 8) and
+    (-3, 0, 1),   # x^2 - 3 (n = 12): gcd(E, O)
+])
+def test_each_cyclotomic_branch_rejects(factor):
+    # the first sextic's trace polynomial times one Psi_n: each product
+    # fires exactly one of the four tests of _placed_reducible
+    g = IntPoly((-1, -4, 0, 1)) * IntPoly(factor)
+    reason = salem_check(trace_lift(g))
+    assert not reason and reason.kind is RejectionKind.REDUCIBLE
+    assert reason.detail == ""
 
 
 def test_degree4_even_family_never_salem():
