@@ -20,14 +20,15 @@ from fractions import Fraction
 from .cyclo import SalemSeq, seq_poly, cyclotomic_progressions, ProgressionSet
 from .polyarith import (IntPoly, _scaled_value, _sign, pair_sum_lift,
                         poly_gcd, trace, trace_lift, trace_project)
-from .realroots import (EndpointIsRootError, RootBox, _bisect, _common_den,
-                        _scaled_range, count_roots, cubic_salem_split,
-                        isolate_roots, refine, sqrt_interval)
+from .realroots import (RootBox, _bisect, _scaled_range, count_roots,
+                        cubic_salem_split, isolate_roots, refine,
+                        sqrt_interval)
 
 _BETA_WIDTH = Fraction(1, 1 << 16)
 # window search: width below which critical boxes stop being bisected
 _CRIT_WIDTH = Fraction(1, 64)
-_QUARTER = Fraction(1, 4)
+# window search: bisections of undecided critical boxes before one gcd
+_GCD_AFTER = 4
 _ALPHA_BITS = 80
 
 
@@ -290,6 +291,43 @@ def _interlacing_range(ranges, slope: int, lo: int, hi: int) -> tuple[int, int]:
     return lo, hi
 
 
+def _alternates(base: tuple[int, ...], shift: int, boxes: list,
+                ranges: list) -> bool:
+    """Whether D_m = base + shift (coefficients ascending, base[0] == 0) has
+    strictly alternating sign at the roots of D_m': negative at the largest,
+    positive at the next, and so on.  boxes[i] = (ln, hn, den) holds the i-th
+    largest root of D_m', exactly (ln == hn) or with D_m' of sign (-1)^(i+1)
+    at ln/den and of the other sign at hn/den; ranges[i] is the
+    `_scaled_range` of base on it.
+
+    A box on which the range of D_m holds 0 is bisected on D_m' (`_bisect`),
+    in place with its range, until the range excludes 0, so the caller's
+    next shift starts from the narrower boxes.  That ends unless D_m vanishes
+    at a root of D_m', which gives D_m a multiple root and fails it: at once
+    on an exact box, else by one gcd of D_m and D_m' after _GCD_AFTER
+    bisections."""
+    deriv = tuple(i * a for i, a in enumerate(base))[1:]
+    steps = 0
+    for i, ((ln, hn, den), (elo, ehi, scale)) in enumerate(zip(boxes, ranges)):
+        # the sign D_m needs here, which D_m' has at the lower end
+        want = -1 if i % 2 == 0 else 1
+        while elo + shift * scale <= 0 <= ehi + shift * scale:
+            if ln == hn:
+                return False
+            if steps == _GCD_AFTER and poly_gcd(
+                    IntPoly((shift,) + base[1:]), IntPoly(deriv)).degree >= 1:
+                return False
+            # one bisection step: stop below the current width
+            ln, hn, den = _bisect(deriv, ln, hn, den, want, hn - ln, den)
+            elo, ehi, scale = _scaled_range(base, ln, hn, den)
+            boxes[i] = ln, hn, den
+            ranges[i] = elo, ehi, scale
+            steps += 1
+        if _sign(elo + shift * scale) != want:
+            return False
+    return True
+
+
 def window_poly_search(k: int) -> list[IntPoly]:
     """All monic integer h of degree k with k-1 roots in (-2, 1/4) and one
     root in (-6, -2).
@@ -302,12 +340,14 @@ def window_poly_search(k: int) -> list[IntPoly]:
 
     The caller holds a box around each root of D_m' = D_{m-1}, as an integer
     triple (ln, hn, den): the interval [ln/den, hn/den] over one
-    denominator.  Where D_m has strictly alternating sign on those boxes
-    (negative on the largest), it is monotone between them and, with the
-    strict endpoint signs, has exactly one root in each of the m gaps they
-    leave in (-6, 1/4) (Rolle): the gaps, bisected on integer numerators,
-    are the next level's boxes, and at m == k the sign of h at -2 places its
-    roots.  Elsewhere Sturm counts and isolation decide.
+    denominator.  D_m has its m roots in (-6, 1/4) iff its signs at those
+    roots strictly alternate, negative at the largest: then it is monotone
+    between them and, with the strict endpoint signs, has exactly one root
+    in each of the m gaps the boxes leave in (-6, 1/4) (Rolle).
+    `_interlacing_range` proves that for a range of c at once from the
+    boxes as they are; `_alternates` decides every other c, narrowing the
+    boxes it needs.  The gaps, bisected on integer numerators, are the next
+    level's boxes, and at m == k the sign of h at -2 places its roots.
     """
     if k < 2:
         raise ValueError("k >= 2 required")
@@ -324,62 +364,42 @@ def window_poly_search(k: int) -> list[IntPoly]:
         lo_b, hi_b = _window_range(base, slope, ranges, -_coeff_bound(k, m),
                                    _coeff_bound(k, m))
         lo_i, hi_i = _interlacing_range(ranges, slope, lo_b, hi_b)
-        # gap i runs from the top of critical box i (or -6) to the bottom of
-        # box i-1 (or 1/4), over one denominator; D_m has the sign (-1)^i at
-        # its upper end when D_m interlaces
-        gaps = []
-        for (an, ad), (bn, bd) in zip(
-                [(hn, den) for _, hn, den in crit_boxes] + [(-6, 1)],
-                [(1, 4)] + [(ln, den) for ln, _, den in crit_boxes]):
-            den = math.lcm(ad, bd)
-            gaps.append((an * (den // ad), bn * (den // bd), den))
         for c in range(lo_b, hi_b + 1):
-            interlaces = lo_i <= c <= hi_i
             d = (c * slope,) + base[1:]  # D_m; h itself when m == k
             if m == k:
                 # one root below -2 and k-1 above give h(-2) the sign (-1)^(k-1)
                 s = _sign(_scaled_value(d, -2, 1))
                 if s != (-1) ** (k - 1):
                     continue
-                if interlaces:
-                    # h has one root per gap: the one in gap i lies below -2
-                    # when the gap does, or when -2 is inside the gap and
-                    # h(-2) already has the sign of the gap's upper end
-                    below = sum(b <= -2 * den
-                                or (a < -2 * den and s == (-1) ** i)
-                                for i, (a, b, den) in enumerate(gaps))
-                    if below == 1:
-                        results.append(IntPoly(d))
-                    continue
-                h = IntPoly(d)
-                if (_scaled_value(d, -6, 1) != 0
-                        and _scaled_value(d, 1, 4) != 0
-                        and count_roots(h, -2, _QUARTER) == k - 1
-                        and count_roots(h, -6, -2) == 1):
-                    results.append(h)
+            if not (lo_i <= c <= hi_i
+                    or _alternates(base, c * slope, crit_boxes, ranges)):
                 continue
-            if interlaces:
-                boxes = []
-                for a, b, den in gaps:
-                    s_lo = _sign(_scaled_value(d, a, den))
-                    if s_lo * _sign(_scaled_value(d, b, den)) >= 0:
-                        raise ConstructionFailed(
-                            f"D_{m} does not change sign across a gap")
-                    boxes.append(_bisect(d, a, b, den, s_lo, en, ed))
-            else:
-                d_m = IntPoly(d)
-                try:
-                    if count_roots(d_m, -6, _QUARTER) != m:
-                        continue
-                except EndpointIsRootError:
-                    # a derivative root on the window edge cannot come from
-                    # a strictly confined h
-                    continue
-                found = isolate_roots(d_m)
-                if len(found) != m:
-                    continue
-                boxes = [_common_den(box.lo, box.hi) for box in
-                         (refine(b, _CRIT_WIDTH) for b in reversed(found))]
+            # gap i runs from the top of critical box i (or -6) to the bottom
+            # of box i-1 (or 1/4), over one denominator; D_m has one root in
+            # it and the sign (-1)^i at its upper end
+            gaps = []
+            for (an, ad), (bn, bd) in zip(
+                    [(hn, den) for _, hn, den in crit_boxes] + [(-6, 1)],
+                    [(1, 4)] + [(ln, den) for ln, _, den in crit_boxes]):
+                den = math.lcm(ad, bd)
+                gaps.append((an * (den // ad), bn * (den // bd), den))
+            if m == k:
+                # the root of h in gap i lies below -2 when the gap does, or
+                # when -2 is inside the gap and h(-2) already has the sign of
+                # the gap's upper end
+                below = sum(b <= -2 * den
+                            or (a < -2 * den and s == (-1) ** i)
+                            for i, (a, b, den) in enumerate(gaps))
+                if below == 1:
+                    results.append(IntPoly(d))
+                continue
+            boxes = []
+            for a, b, den in gaps:
+                s_lo = _sign(_scaled_value(d, a, den))
+                if s_lo * _sign(_scaled_value(d, b, den)) >= 0:
+                    raise ConstructionFailed(
+                        f"D_{m} does not change sign across a gap")
+                boxes.append(_bisect(d, a, b, den, s_lo, en, ed))
             descend(m + 1, coeffs + [c], boxes)
 
     descend(1, [], [])

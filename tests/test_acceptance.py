@@ -4,6 +4,7 @@ Each test is self-contained, asserts bit-exact outputs where the guarantee is
 bit-exact, and enforces the documented wall-clock budget.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -57,6 +58,10 @@ def test_criterion_2_window_lift_enumeration():
     elapsed = time.perf_counter() - start
 
     assert [len(results[k].salem) for k in (2, 3, 4, 5)] == [15, 30, 20, 4]
+    # sha256 of repr([h.coeffs for h in window_poly_search(5)])
+    assert hashlib.sha256(repr([h.coeffs for h in results[5].satisfying])
+                          .encode()).hexdigest() == (
+        "82a87998fe9b3fb0685bdaceb1fda7511593eb5ad3739a7bb1e22ae0afc69d8b")
 
     minpolys2 = [c.minpoly for c in results[2].salem]
     assert IntPoly((1, 4, 1)) in results[2].satisfying

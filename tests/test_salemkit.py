@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from salemrel.cyclo import cyclotomic, seq_poly
 from salemrel.factorint import is_irreducible
 from salemrel.polyarith import (IntPoly, pair_sum_lift, pair_sum_trace_poly,
                                 trace_lift, trace_project)
-from salemrel.realroots import count_roots
+from salemrel.realroots import _scaled_range, count_roots
 from salemrel.salemkit import (FAMILIES, RejectionKind, bad_degrees,
                                build_salem_from_trace_poly,
                                enum_deg6_trace0, enum_deg6_trace0_detail,
@@ -210,14 +211,66 @@ def test_window_search_k3():
         assert count_roots(h, -6, -2) == 1
 
 
-def test_window_search_sturm_path_matches_interlacing(monkeypatch):
-    # the Sturm path (count, isolate, refine at every node) is the oracle for
-    # the Rolle interlacing certificates
+def test_window_search_refinement_path_matches_interlacing(monkeypatch):
+    # with an empty interlacing range every c of the weak range goes through
+    # _alternates, which bisects the critical boxes until it decides, and
+    # the search must find the same polynomials
     default = {k: window_poly_search(k) for k in (2, 3, 4)}
     monkeypatch.setattr(salemkit, "_interlacing_range",
                         lambda ranges, slope, lo, hi: (hi + 1, hi))
     for k, hs in default.items():
         assert window_poly_search(k) == hs
+
+
+def _brute_force_window_polys(k: int) -> list[IntPoly]:
+    """Every monic h inside _coeff_bound with one root in (-6, -2) and k-1 in
+    (-2, 1/4), by Sturm counts: the oracle for window_poly_search."""
+    found = []
+    bounds = [range(-salemkit._coeff_bound(k, j),
+                    salemkit._coeff_bound(k, j) + 1) for j in range(1, k + 1)]
+    for tail in itertools.product(*bounds):
+        h = IntPoly((*reversed(tail), 1))
+        # the strict signs at the window's ends and at -2
+        if (h.sign_at(Fraction(1, 4)) != 1 or h.sign_at(-6) != (-1) ** k
+                or h.sign_at(-2) != (-1) ** (k - 1)):
+            continue
+        if (count_roots(h, -6, -2) == 1
+                and count_roots(h, -2, Fraction(1, 4)) == k - 1):
+            found.append(h)
+    return sorted(found, key=IntPoly.sort_key)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_window_search_matches_brute_force(k):
+    assert window_poly_search(k) == _brute_force_window_polys(k)
+
+
+def test_alternates_decides_by_gcd_at_a_double_root():
+    # D = (x^2 - 2)^2 against D' = 4x(x^2 - 2): D vanishes at the irrational
+    # critical points +-sqrt(2), so no bisection can exclude 0 there and the
+    # gcd must end it, after _GCD_AFTER bisections of the first box
+    base = (0, 0, -4, 0, 1)  # D - 4
+    start = [(1, 2, 1), (-1, 1, 2), (-2, -1, 1)]
+    boxes = list(start)
+    ranges = [_scaled_range(base, *box) for box in boxes]
+    assert not salemkit._alternates(base, 4, boxes, ranges)
+    ln, hn, den = boxes[0]
+    assert (hn - ln) * (1 << salemkit._GCD_AFTER) == den
+    assert ln * ln < 2 * den * den < hn * hn
+    assert boxes[1:] == start[1:]
+    assert ranges == [_scaled_range(base, *box) for box in boxes]
+    # D - 1 = (x^2 - 1)(x^2 - 3) is -1, 3, -1 there: it alternates, and the
+    # boxes refined above are reused as they are
+    assert salemkit._alternates(base, 3, boxes, ranges)
+
+
+def test_alternates_rejects_a_zero_on_an_exact_box():
+    # D' = 2x has its root exactly at 0: x^2 fails there at once, x^2 - 1
+    # is negative there and passes
+    boxes, ranges = [(0, 0, 1)], [(0, 0, 1)]
+    assert not salemkit._alternates((0, 0, 1), 0, boxes, ranges)
+    assert salemkit._alternates((0, 0, 1), -1, boxes, ranges)
+    assert boxes == [(0, 0, 1)]
 
 
 # sha256 of repr([h.coeffs for h in window_poly_search(k)]): the exact
@@ -237,15 +290,19 @@ def test_window_search_golden_digests():
 
 
 def test_window_search_interlacing_path_is_integer_only(monkeypatch):
-    # at k = 3 every node above the last level interlaces, and the last
-    # level falls back only to count_roots, so the search needs no RootBox,
-    # refinement or Fraction of salemkit's own
-    def forbidden(*args, **kwargs):
-        raise AssertionError("left the integer interlacing path")
+    # every node decides by interlacing or by _alternates on integer
+    # triples, so at no k does the search need a Sturm count, an isolation,
+    # a RootBox, a refinement or a Fraction of salemkit's own
+    expected = {k: window_poly_search(k) for k in (2, 3, 4)}
 
-    for name in ("RootBox", "refine", "Fraction"):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("left the integer path")
+
+    for name in ("count_roots", "isolate_roots", "RootBox", "refine",
+                 "Fraction"):
         monkeypatch.setattr(salemkit, name, forbidden)
-    assert len(window_poly_search(3)) == 73
+    for k, hs in expected.items():
+        assert window_poly_search(k) == hs
 
 
 def test_pair_sum_trace_identity_on_search_results():
