@@ -39,7 +39,8 @@ class _InputError(Exception):
 # time and memory grow with them without limit (on 2 cores, seq --n 10**6
 # takes about 1.5 s, bad-degrees --max-degree 10**6 about 2.5 s and 5 MB of
 # output, trace0 --degree 400 about 1.6 s, or 3.6-3.9 s with --verify, which
-# factors its degree-200 trace polynomial)
+# factors its degree-200 trace polynomial).  The trace0 cap also bounds the
+# reciprocal polynomial, input or lift, of the trace-map commands
 _MAX_SEQ_N = 10 ** 6
 _MAX_BAD_DEGREE = 10 ** 6
 _MAX_TRACE0_DEGREE = 400
@@ -194,8 +195,17 @@ def _read_poly(arg: str) -> IntPoly:
     return parse_poly(text)
 
 
+def _read_reciprocal(arg: str, lift: int = 1) -> IntPoly:
+    """The input of a trace-map command, whose reciprocal polynomial has
+    lift times its degree, refused above the trace0 degree cap."""
+    p = _read_poly(arg)
+    _check_cap("reciprocal polynomial degree", lift * p.degree,
+               _MAX_TRACE0_DEGREE)
+    return p
+
+
 def _cmd_salem_check(args):
-    p = _read_poly(args.poly)
+    p = _read_reciprocal(args.poly)
     outcome = salem_check(p)
     certs = []
     if outcome:
@@ -213,7 +223,7 @@ def _cmd_salem_check(args):
 
 
 def _cmd_trace_poly(args):
-    p = _read_poly(args.poly)
+    p = _read_reciprocal(args.poly)
     g = trace_project(p)
     lines = [format_poly(g)]
 
@@ -230,7 +240,7 @@ def _cmd_trace_poly(args):
 
 
 def _cmd_trace_lift(args):
-    g = _read_poly(args.poly)
+    g = _read_reciprocal(args.poly, 2)
     f = trace_lift(g)
     lines = [format_poly(f)]
 
@@ -243,7 +253,7 @@ def _cmd_trace_lift(args):
 
 
 def _cmd_lemma4_lift(args):
-    h = _read_poly(args.poly)
+    h = _read_reciprocal(args.poly, 4)
     f = pair_sum_lift(h)
     g = pair_sum_trace_poly(h)
     outcome = salem_check(f)
@@ -483,7 +493,7 @@ def _cmd_enum(args):
 
 
 def _cmd_relations(args):
-    p = _read_poly(args.poly)
+    p = _read_reciprocal(args.poly)
     outcome = salem_check(p)
     if not outcome:
         raise _InputError("not a Salem minimal polynomial: "

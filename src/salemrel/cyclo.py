@@ -221,14 +221,12 @@ def _order_divides_members(seq: SalemSeq, order: int, ns) -> set[int]:
 def _sporadic_extra_unit_root(seq: SalemSeq) -> list[tuple[int, int]]:
     """Indices where the divided sequence keeps a factor x-1, i.e. where
     (x-1)^2 divides the undivided member: the derivative condition at 1 is
-    affine in n, so there is at most one such index (or a full progression
-    when the linear term vanishes)."""
+    affine in n, so there is at most one such index.  Needs f(1) != 0; the
+    caller handles f(1) == 0 as a periodic all-or-nothing entry."""
     f, eps = seq.f, seq.eps
     fs = seq.f_reversed
     a = f.eval_int(1)
     b = f.derivative().eval_int(1) + eps * fs.derivative().eval_int(1)
-    if a == 0:
-        return []  # handled as a periodic all-or-nothing entry by the caller
     n0 = Fraction(-b, a)
     if n0.denominator == 1 and n0 >= 2:
         return [(1, int(n0))]

@@ -1,11 +1,14 @@
 """Exact real-root counting, isolation, and refinement for integer polynomials.
 
-Root counting uses Sturm chains built on the squarefree part.  A chain is
-one primitive remainder sequence, and its values at a point follow from the
-first two by the sequence's own three-term recurrence.  All interval
-endpoints are rational (or +-infinity), all signs are evaluated exactly, and
-every returned interval certificate (RootBox) either brackets exactly one real
-root with a strict sign change or pins a rational root exactly.
+Root counting and isolation run on one Sturm chain, built on the
+squarefree part.  A chain is one primitive remainder sequence, and its values
+at a point follow from the first two by the sequence's own three-term
+recurrence.  One such evaluation per point gives both the sign of the
+squarefree part there and the chain's sign variations (`_chain_at`).  All
+interval endpoints are rational (or +-infinity), all signs are evaluated
+exactly, and every returned interval certificate (RootBox) either brackets
+exactly one real root with a strict sign change or pins a rational root
+exactly.
 """
 
 from __future__ import annotations
@@ -44,13 +47,13 @@ class RootBox:
         hi = Fraction(hi)
         if exact is not None:
             exact = Fraction(exact)
-            if _sign_at(poly, exact) != 0:
+            if poly.sign_at(exact) != 0:
                 raise ValueError("exact value is not a root")
             lo = hi = exact
         else:
             if not lo < hi:
                 raise ValueError("empty interval")
-            slo, shi = _sign_at(poly, lo), _sign_at(poly, hi)
+            slo, shi = poly.sign_at(lo), poly.sign_at(hi)
             if slo == 0 or shi == 0:
                 raise ValueError("interval endpoint is a root")
             if slo == shi:
@@ -89,11 +92,6 @@ class RootBox:
 def squarefree_part(p: IntPoly) -> IntPoly:
     """Primitive polynomial with the same roots as p, all simple."""
     return _sqf_and_chain(p)[0]
-
-
-def _sign_at(p: IntPoly, x) -> int:
-    """Sign of p at the rational x, from the integer den**deg * p(num/den)."""
-    return _sign(_scaled_value(p.coeffs, x.numerator, x.denominator))
 
 
 class _SturmChain(tuple):
@@ -171,14 +169,16 @@ def _sign_changes(values) -> int:
     return count
 
 
-def _variations(chain: _SturmChain, point) -> int:
-    """Sign variations of the chain at a rational point or at +-inf."""
+def _chain_at(chain: _SturmChain, point) -> tuple[int, int]:
+    """(sign of F0, sign variations of the chain) at a rational point or at
+    +-inf, from one evaluation of the chain."""
     if point is POS_INF:
-        return _sign_changes(f.lc for f in chain)
-    if point is NEG_INF:
-        return _sign_changes(-f.lc if f.degree & 1 else f.lc for f in chain)
-    return _sign_changes(_chain_values(chain, point.numerator,
-                                       point.denominator))
+        values = [f.lc for f in chain]
+    elif point is NEG_INF:
+        values = [-f.lc if f.degree & 1 else f.lc for f in chain]
+    else:
+        values = _chain_values(chain, point.numerator, point.denominator)
+    return _sign(values[0]), _sign_changes(values)
 
 
 def _as_point(value: Point, side: str):
@@ -197,8 +197,9 @@ def count_roots(p: IntPoly, lo: Point, hi: Point) -> int:
     """Number of distinct real roots of p strictly between lo and hi.
 
     lo/hi may be rationals, None, or +-math.inf (None means the infinite
-    endpoint on its side).  Raises EndpointIsRootError if a finite endpoint
-    is itself a root.
+    endpoint on its side).  Each endpoint costs one evaluation of the
+    squarefree part's Sturm chain, which also tells whether it is a root:
+    raises EndpointIsRootError if a finite endpoint is itself a root.
     """
     if p.is_zero:
         raise ValueError("nonzero polynomial required")
@@ -213,17 +214,12 @@ def count_roots(p: IntPoly, lo: Point, hi: Point) -> int:
     sqf, chain = _sqf_and_chain(p)
     if sqf.degree < 1:
         return 0
-    if fa and _sign_at(sqf, a) == 0:
-        raise EndpointIsRootError(f"{a} is a root")
-    if fb and _sign_at(sqf, b) == 0:
-        raise EndpointIsRootError(f"{b} is a root")
-    return _variations(chain, a) - _variations(chain, b)
-
-
-def _count_open(w: IntPoly, a: Fraction, b: Fraction) -> int:
-    """Root count for an already-squarefree w with nonroot endpoints."""
-    _, chain = _sqf_and_chain(w)
-    return _variations(chain, a) - _variations(chain, b)
+    (sa, va), (sb, vb) = _chain_at(chain, a), _chain_at(chain, b)
+    # the sign at +-inf is a leading coefficient's, never 0
+    for x, sx in ((a, sa), (b, sb)):
+        if sx == 0:
+            raise EndpointIsRootError(f"{x} is a root")
+    return va - vb
 
 
 def _kth_root_ceil(m: int, k: int) -> int:
@@ -266,79 +262,56 @@ def root_bound(p: IntPoly) -> int:
 def isolate_roots(p: IntPoly) -> list[RootBox]:
     """Pairwise-disjoint RootBoxes covering all real roots, sorted ascending.
 
-    Non-degenerate boxes have width <= 1.  Rational roots hit during bisection
-    (and all roots of linear factors) become exact degenerate boxes; all other
-    boxes carry a strict sign change of the squarefree part.
+    The bisection runs on the squarefree part's one Sturm chain and
+    evaluates it once per point, for the sign and the variation count
+    together.  Non-degenerate boxes have width <= 1 and carry a strict sign
+    change of the squarefree part.  Exact degenerate boxes come back only
+    for the root of a linear squarefree part and for a rational root that a
+    bisection midpoint hits; a rational root that no midpoint hits gets an
+    ordinary box.
     """
     if p.is_zero:
         raise ValueError("nonzero polynomial required")
     sqf, chain = _sqf_and_chain(p)
     if sqf.degree < 1:
         return []
+    if sqf.degree == 1:
+        r = Fraction(-sqf[0], sqf[1])
+        return [RootBox(sqf, r, r, exact=r)]
     bound = root_bound(sqf)
     boxes: list[RootBox] = []
     a, b = Fraction(-bound), Fraction(bound)
-    # (a, b, w, chain of w, variations at a, variations at b): the counts
-    # travel with the interval, so each node evaluates only its midpoint
-    work = [(a, b, sqf, chain, _variations(chain, a), _variations(chain, b))]
+    # (a, b, (sign, variations) at a, the same at b): every endpoint is a
+    # nonroot, and its pair travels with the interval, so each node
+    # evaluates only its midpoint
+    work = [(a, b, _chain_at(chain, a), _chain_at(chain, b))]
     while work:
-        a, b, w, chain, va, vb = work.pop()
-        n = va - vb
+        a, b, at_a, at_b = work.pop()
+        n = at_a[1] - at_b[1]
         if n == 0:
             continue
-        if n == 1:
-            if w.degree == 1:
-                r = Fraction(-w[0], w[1])
-                boxes.append(RootBox(sqf, r, r, exact=r))
-                continue
-            if b - a <= 1:
-                aa, sa = _clear_endpoint(sqf, w, a, b, left=True)
-                bb, sb = _clear_endpoint(sqf, w, aa, b, left=False)
-                # sqf's roots in (a, b) are w's: the rational roots divided
-                # out of w all sit at midpoints, which are interval endpoints
-                boxes.append(RootBox._from_signs(sqf, aa, bb, sa, sb))
-                continue
+        if n == 1 and b - a <= 1:
+            boxes.append(RootBox._from_signs(sqf, a, b, at_a[0], at_b[0]))
+            continue
         mid = (a + b) / 2
-        num, den = mid.numerator, mid.denominator
-        values = _chain_values(chain, num, den)
-        if values[0] == 0:
-            boxes.append(RootBox(sqf, mid, mid, exact=mid))
-            w = div_exact(w, IntPoly((-num, den)))
-            if w.degree < 1:
-                continue
-            if _sign_at(w, mid) == 0:
-                raise AssertionError("squarefree part had a repeated root")
-            _, chain = _sqf_and_chain(w)
-            va, vm, vb = (_variations(chain, x) for x in (a, mid, b))
-        else:
-            vm = _sign_changes(values)
-        work.append((a, mid, w, chain, va, vm))
-        work.append((mid, b, w, chain, vm, vb))
+        at_mid = _chain_at(chain, mid)
+        if at_mid[0]:
+            work.append((a, mid, at_a, at_mid))
+            work.append((mid, b, at_mid, at_b))
+            continue
+        boxes.append(RootBox(sqf, mid, mid, exact=mid))
+        # step off the root on both sides, to nonroots with mid the only
+        # root between them
+        h = (b - a) / 4
+        while True:
+            at_lo, at_hi = _chain_at(chain, mid - h), _chain_at(chain, mid + h)
+            if at_lo[0] and at_hi[0] and at_lo[1] - at_hi[1] == 1:
+                break
+            h /= 2
+        work.append((a, mid - h, at_a, at_lo))
+        work.append((mid + h, b, at_hi, at_b))
     boxes.sort(key=lambda bx: (bx.lo, bx.hi))
     return boxes
-
-
-def _clear_endpoint(sqf: IntPoly, w: IntPoly, a: Fraction, b: Fraction,
-                    left: bool) -> tuple[Fraction, int]:
-    """Move an endpoint off any root of sqf without losing the w-root; the
-    new endpoint and the sign of sqf there."""
-    e = a if left else b
-    s = _sign_at(sqf, e)
-    if s:
-        return e, s
-    # step toward the single w-root in (a, b); stop before reaching it
-    span = b - a
-    for j in range(1, 128):
-        t = (a + span / (1 << j)) if left else (b - span / (1 << j))
-        if _sign_at(w, t) == 0:
-            continue
-        s = _sign_at(sqf, t)
-        if s == 0:
-            continue
-        inner = _count_open(w, a, t) if left else _count_open(w, t, b)
-        if inner == 0:
-            return t, s
-    raise AssertionError("could not separate endpoint from root")
 
 
 def _common_den(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:

@@ -214,7 +214,9 @@ def enum_deg6_trace0_detail() -> Deg6Trace0Result:
 
     A trace-0 Salem sextic has trace polynomial x^3 - a*x + b with two roots
     in (-2, 2) and one in (2, oo); the window predicate confines (a, b) to
-    finitely many pairs, swept here in full.
+    finitely many pairs, swept here in full.  Each pair's lift goes to
+    salem_check; a Reducible rejection discards the cubic, and any other
+    rejection is a construction failure.
     """
     pairs = []
     for a in range(4, 12):
@@ -226,15 +228,13 @@ def enum_deg6_trace0_detail() -> Deg6Trace0Result:
     certs = []
     for a, b in pairs:
         cubic = IntPoly((b, -a, 0, 1))
-        # a monic cubic splits iff it has an integer root, which divides b
-        if any(cubic.eval_int(r) == 0 for d in range(1, abs(b) + 1)
-               if b % d == 0 for r in (d, -d)):
+        outcome = salem_check(trace_lift(cubic))
+        if outcome:
+            certs.append(outcome)
+        elif outcome.kind is RejectionKind.REDUCIBLE:
             discarded.append(cubic)
-            continue
-        cert = salem_check(trace_lift(cubic))
-        if not cert:
+        else:
             raise ConstructionFailed(f"window pair ({a},{b}) failed to lift")
-        certs.append(cert)
     return Deg6Trace0Result(tuple(pairs), tuple(discarded), tuple(certs))
 
 

@@ -365,6 +365,31 @@ def test_trace0_degree_capped(capsys):
             "error: --degree must be at most 400\n"
 
 
+@pytest.mark.parametrize("command, at_cap, past_cap", [
+    ("salem-check", "x^400+1", "x^402+1"),
+    ("trace-poly", "x^400+1", "x^402+1"),
+    ("relations", "x^400+1", "x^402+1"),
+    # the lift has twice the input's degree
+    ("trace-lift", "x^200+1", "x^201+1"),
+    # the lift has four times the input's degree
+    ("lemma4-lift", "x^100+1", "x^101+1"),
+])
+def test_trace_map_commands_capped(capsys, command, at_cap, past_cap):
+    # trace0 --degree's cap bounds the reciprocal polynomial, input or lift;
+    # without it salem-check x^20000+1 ran past 20 s
+    extra = ["--max-length", "2"] if command == "relations" else []
+    code = cli.run([command, at_cap, *extra])
+    assert "must be at most" not in capsys.readouterr().err
+    # x^400+1 is no Salem polynomial, so relations refuses it after the cap
+    assert code == (1 if command == "relations" else 0)
+    for poly in (past_cap, "x^20000+1"):
+        start = time.perf_counter()
+        assert cli.run([command, poly, *extra]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == \
+            "error: reciprocal polynomial degree must be at most 400\n"
+
+
 def test_relations_screen_capped(capsys):
     # s = 50 betas and sum |m_j| <= 12 would screen about 1.2 * 10^15 vectors
     start = time.perf_counter()

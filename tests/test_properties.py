@@ -12,6 +12,7 @@ Example counts stay small and the search is derandomized so every run
 checks the same cases."""
 
 import math
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from salemrel import relations
+from salemrel import polyarith, realroots, relations
 from salemrel.factorint import (_gp_divmod, _gp_mul, _gp_powmod,
                                 _gp_reducer, factor, kronecker_factor_oracle)
 from salemrel.cyclo import seq_poly
@@ -28,10 +29,10 @@ from salemrel.parsing import parse_poly
 from salemrel.polyarith import (IntPoly, _primitive_prs, _scaled_value,
                                 div_exact, format_poly, poly_gcd,
                                 trace_project)
-from salemrel.realroots import (NEG_INF, POS_INF, RootBox, _chain_values,
-                                _clear_endpoint, _poly_range, _scaled_range,
-                                _sqf_and_chain, _variations, count_roots,
-                                isolate_roots, refine, root_bound)
+from salemrel.realroots import (NEG_INF, POS_INF, RootBox, _chain_at,
+                                _chain_values, _poly_range, _scaled_range,
+                                _sqf_and_chain, count_roots, isolate_roots,
+                                refine, root_bound, squarefree_part)
 from salemrel.relations import _sum_interval, _survivors
 from salemrel.salemkit import (FAMILIES, _interlacing_range, _window_range,
                                family_degree_shift, salem_check,
@@ -216,6 +217,7 @@ _REPEATED = (_product([IntPoly((-2, 0, 1))] * 2 + [IntPoly((1, -1, 0, 1))]
 @example(list(_REPEATED[0].coeffs), Fraction(2, 3))
 @example(list(_REPEATED[1].coeffs), Fraction(1, 2))
 def test_variations_match_per_element_signs(coeffs, point):
+    """`_chain_at` gives F0's sign and the chain's variations together."""
     _, chain = _sqf_and_chain(IntPoly(tuple(coeffs)))
     if point in (POS_INF, NEG_INF):
         # no element has a root outside (-bound, bound)
@@ -223,9 +225,10 @@ def test_variations_match_per_element_signs(coeffs, point):
         at = Fraction(bound if point is POS_INF else -bound)
     else:
         at = point
-    signs = [s for s in (int(f.sign_at(at)) for f in chain) if s != 0]
+    all_signs = [int(f.sign_at(at)) for f in chain]
+    signs = [s for s in all_signs if s != 0]
     expected = sum(s != t for s, t in zip(signs, signs[1:]))
-    assert _variations(chain, point) == expected
+    assert _chain_at(chain, point) == (all_signs[0], expected)
 
 
 _chain_poly = st.one_of(
@@ -251,48 +254,88 @@ def test_chain_values_match_per_element_scaled_values(p, x):
 
 
 def _per_node_isolate(p: IntPoly):
-    """Bisection that recounts the roots between both endpoints at every
-    node, as (lo, hi, exact) triples: the reference for isolate_roots,
-    which carries the counts down from the parent node."""
-    sqf, _ = _sqf_and_chain(p)
-    bound = root_bound(sqf)
-    boxes = []
-    work = [(Fraction(-bound), Fraction(bound), sqf)]
-    while work:
-        a, b, w = work.pop()
-        if w.degree < 1:
-            continue
-        n = count_roots(w, a, b)
+    """Recursive bisection that recounts the roots between both endpoints
+    with count_roots at every node, as ascending (lo, hi, exact) triples: the
+    reference for isolate_roots, which carries each endpoint's sign and
+    count down from the parent node.  A midpoint r that is a root is pinned
+    exactly, and the halves then end at r - h and start at r + h for the
+    first h of (b - a)/4, (b - a)/8, ... with r the only root between."""
+    sqf = squarefree_part(p)
+    if sqf.degree < 1:
+        return []
+    if sqf.degree == 1:
+        r = Fraction(-sqf[0], sqf[1])
+        return [(r, r, r)]
+
+    def only_root(r, h):
+        lo, hi = r - h, r + h
+        return (sqf.sign_at(lo) != 0 and sqf.sign_at(hi) != 0
+                and count_roots(sqf, lo, hi) == 1)
+
+    def node(a, b):
+        n = count_roots(sqf, a, b)
         if n == 0:
-            continue
-        if n == 1:
-            if w.degree == 1:
-                r = Fraction(-w[0], w[1])
-                boxes.append((r, r, r))
-                continue
-            if b - a <= 1:
-                aa, _ = _clear_endpoint(sqf, w, a, b, left=True)
-                bb, _ = _clear_endpoint(sqf, w, aa, b, left=False)
-                boxes.append((aa, bb, None))
-                continue
-        mid = (a + b) / 2
-        if w.sign_at(mid) == 0:
-            boxes.append((mid, mid, mid))
-            w = div_exact(w, IntPoly((-mid.numerator, mid.denominator)))
-        work.append((a, mid, w))
-        work.append((mid, b, w))
-    return sorted(boxes, key=lambda t: (t[0], t[1]))
+            return []
+        if n == 1 and b - a <= 1:
+            return [(a, b, None)]
+        r = (a + b) / 2
+        if sqf.sign_at(r) != 0:
+            return node(a, r) + node(r, b)
+        h = (b - a) / 4
+        while not only_root(r, h):
+            h /= 2
+        return node(a, r - h) + [(r, r, r)] + node(r + h, b)
+
+    bound = root_bound(sqf)
+    return node(Fraction(-bound), Fraction(bound))
 
 
 def test_isolate_roots_matches_per_node_counting():
     # times x(2x - 1)(3x - 1): the first midpoint, 0, is a root, so the
-    # counts are taken again on the reduced polynomial
+    # bisection steps off it on both sides
     rational = _product([IntPoly((0, 1)), IntPoly((-1, 2)), IntPoly((-1, 3))])
     for d in range(6, 61, 2):
         g = trace0_salem(d).trace_poly
         for p in (g, g * rational) if d in (8, 20) else (g,):
             boxes = [(bx.lo, bx.hi, bx.exact) for bx in isolate_roots(p)]
             assert boxes == _per_node_isolate(p)
+
+
+@_PROPERTY
+@given(_root_poly)
+# 0 is the first midpoint, and 1/2 and 1/3 sit next to it
+@example(_product([IntPoly((0, 1)), IntPoly((-1, 2)), IntPoly((-1, 3))]))
+def test_isolate_roots_matches_per_node_counting_on_rational_roots(p):
+    boxes = [(bx.lo, bx.hi, bx.exact) for bx in isolate_roots(p)]
+    assert boxes == _per_node_isolate(p)
+
+
+def test_isolate_roots_evaluates_each_point_once():
+    """On the trace polynomials of trace0_salem, every evaluation inside
+    isolate_roots is one of a Sturm chain's, none a second sign test."""
+    chain_code = realroots._chain_values.__code__
+    strays = []
+
+    def counted(scaled_value):
+        def wrapper(coeffs, n, d):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code is not chain_code:
+                frame = frame.f_back
+            if frame is None:
+                strays.append(sys._getframe(1).f_code.co_name)
+            return scaled_value(coeffs, n, d)
+        return wrapper
+
+    for d in range(6, 31, 2):
+        g = trace0_salem(d).trace_poly
+        _sqf_and_chain(g)  # the chain is built outside the count
+        with mock.patch.object(realroots, "_scaled_value",
+                               counted(realroots._scaled_value)), \
+                mock.patch.object(polyarith, "_scaled_value",
+                                  counted(polyarith._scaled_value)):
+            boxes = isolate_roots(g)
+        assert len(boxes) == g.degree
+        assert strays == [], d
 
 
 def _fraction_value(p: IntPoly, x: Fraction) -> Fraction:

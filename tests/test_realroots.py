@@ -116,6 +116,17 @@ def test_isolate_roots_exact_hits():
     assert boxes[2].lo < 1 < boxes[2].hi
 
 
+def test_isolate_roots_steps_off_a_hit_root():
+    # 3x^2 - x: the first midpoint, 0, is a root; 1/3, which no midpoint
+    # hits, gets a box with a strict sign change, not an exact one
+    p = IntPoly((0, -1, 3))
+    zero, third = isolate_roots(p)
+    assert zero.exact == 0
+    assert third.exact is None
+    assert 0 < third.lo < Fraction(1, 3) < third.hi <= third.lo + 1
+    assert p.sign_at(third.lo) * p.sign_at(third.hi) < 0
+
+
 def test_refine_shrinks_and_nests(deg12_cert):
     for box in deg12_cert.beta_boxes:
         tight = refine(box, Fraction(1, 1 << 40))

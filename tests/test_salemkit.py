@@ -176,6 +176,17 @@ def test_deg6_trace0_enumeration(sextic_certs):
     assert tuple(c.minpoly.coeffs for c in sextic_certs) == expected
     for c in detail.certificates:
         assert c.trace == 0 and c.degree == 6
+    # the sweep discards exactly the cubics whose lift salem_check rejects
+    # as Reducible
+    for cubic in detail.discarded_cubics:
+        assert salem_check(trace_lift(cubic)).kind is RejectionKind.REDUCIBLE
+
+
+def test_deg6_sweep_fails_on_any_other_rejection(monkeypatch):
+    window = salemkit.RejectionReason(RejectionKind.ROOT_WINDOW_VIOLATION)
+    monkeypatch.setattr(salemkit, "salem_check", lambda f: window)
+    with pytest.raises(salemkit.ConstructionFailed):
+        enum_deg6_trace0_detail()
 
 
 # -- window polynomial search and pair-sum lifts ----------------------------------------
