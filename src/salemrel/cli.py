@@ -457,8 +457,8 @@ def _cmd_enum(args):
 
         return {"mode": "deg6-trace0"}, result, certs, [], lines, verify
 
-    if not 2 <= args.lemma4 <= 5:
-        raise _InputError("--lemma4 K must be between 2 and 5; larger K is "
+    if not 2 <= args.lemma4 <= 6:
+        raise _InputError("--lemma4 K must be between 2 and 6; larger K is "
                           "available through the library enumerator")
     res = pair_sum_enum(args.lemma4)
     certs = list(res.salem)
@@ -590,7 +590,8 @@ def _build_parser() -> _ArgumentParser:
     group.add_argument("--deg6-trace0", action="store_true",
                        help="all trace-0 Salem sextics")
     group.add_argument("--lemma4", type=int, metavar="K",
-                       help="degree-4K enumeration from window polynomials")
+                       help="degree-4K enumeration from window polynomials "
+                       "(2 <= K <= 6)")
 
     sp = sub.add_parser("relations", parents=[common],
                         help="search conjugate relations of a Salem polynomial")

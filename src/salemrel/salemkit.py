@@ -253,29 +253,44 @@ def _coeff_bound(k: int, j: int) -> int:
 
 
 def _window_range(base: tuple[int, ...], slope: int, ranges, lo: int,
-                  hi: int) -> tuple[int, int]:
+                  hi: int, minus2: bool) -> tuple[int, int]:
     """The c in [lo, hi] for which D = base + c*slope passes the necessary
     conditions of window_poly_search, where base (coefficients ascending,
     degree m) has constant term 0 and slope > 0: D(1/4) > 0,
-    (-1)^m * D(-6) > 0, and weak alternation on the critical boxes, given
-    the integer range (lo, hi, scale) of base on each (`_scaled_range`):
-    D <= 0 somewhere in the first (largest) box, >= 0 somewhere in the next,
-    and so on.  Every bound is a floor division of integer numerators."""
+    (-1)^m * D(-6) > 0, (-1)^(m-1) * D(-2) > 0 when minus2 is set, and weak
+    alternation on the critical boxes, given the integer range
+    (lo, hi, scale) of base on each (`_scaled_range`): D <= 0 somewhere in
+    the first (largest) box, >= 0 somewhere in the next, and so on.
+
+    Each point sign is a half-line on c: with D(n/d) scaled by d^m to
+    val + c*slope*d^m, sign > 0 gives c > -val/(slope*d^m) and sign < 0
+    gives c < -val/(slope*d^m).  Every bound is a floor division of integer
+    numerators."""
     m = len(base) - 1
-    # D(1/4) > 0, with base(1/4) scaled by 4^m
-    lo = max(lo, -_scaled_value(base, 1, 4) // (slope << 2 * m) + 1)
-    # (-1)^m * D(-6) > 0
-    val = _scaled_value(base, -6, 1)
-    if m % 2 == 0:
-        lo = max(lo, -val // slope + 1)
-    else:
-        hi = min(hi, -(val // slope) - 1)
+    points = [(1, 4, 1), (-6, 1, (-1) ** m)]
+    if minus2:
+        points.append((-2, 1, (-1) ** (m - 1)))
+    for n, d, sign in points:
+        val, step = _scaled_value(base, n, d), slope * d ** m
+        if sign > 0:
+            lo = max(lo, -val // step + 1)
+        else:
+            hi = min(hi, -(val // step) - 1)
     for idx, (elo, ehi, scale) in enumerate(ranges):
         if idx % 2 == 0:  # largest critical point first: need D <= 0
             hi = min(hi, -elo // (scale * slope))
         else:  # need D >= 0 somewhere in the box
             lo = max(lo, -(ehi // (scale * slope)))
     return lo, hi
+
+
+def _minus2_applies(m: int, k: int, crit_boxes) -> bool:
+    """Whether window_poly_search imposes (-1)^(m-1) * D_m(-2) > 0 at level
+    m: at the leaf, and where the smallest critical box (the last of the
+    descending (ln, hn, den) triples) lies at or below -2."""
+    if m == k:
+        return True
+    return bool(crit_boxes) and crit_boxes[-1][1] <= -2 * crit_boxes[-1][2]
 
 
 def _interlacing_range(ranges, slope: int, lo: int, hi: int) -> tuple[int, int]:
@@ -334,9 +349,10 @@ def window_poly_search(k: int) -> list[IntPoly]:
 
     Enumerates coefficients top-down.  At level m the partial data determine
     D_m = h^(k-m) up to its constant term, which is linear in the new
-    coefficient; necessary conditions (endpoint signs on (-6, 1/4), weak sign
-    alternation at the critical points of D_m, the crude symmetric-function
-    coefficient bound) clip the integer range before descending.
+    coefficient; necessary conditions (endpoint signs on (-6, 1/4), the sign
+    at -2, weak sign alternation at the critical points of D_m, the crude
+    symmetric-function coefficient bound) clip the integer range before
+    descending.
 
     The caller holds a box around each root of D_m' = D_{m-1}, as an integer
     triple (ln, hn, den): the interval [ln/den, hn/den] over one
@@ -347,7 +363,27 @@ def window_poly_search(k: int) -> list[IntPoly]:
     `_interlacing_range` proves that for a range of c at once from the
     boxes as they are; `_alternates` decides every other c, narrowing the
     boxes it needs.  The gaps, bisected on integer numerators, are the next
-    level's boxes, and at m == k the sign of h at -2 places its roots.
+    level's boxes.
+
+    The split at -2, by Rolle: if h is a result, with roots
+    t_1 < -2 < t_2 < ... < t_k, the i-th smallest root of h^(j) lies in
+    (t_i, t_(i+j)), so the second smallest root of each of its D_m lies
+    above t_2 > -2.  When the smallest
+    critical box lies at or below -2, the smallest root of D_m lies below
+    it, so -2 falls between the two smallest roots of D_m and
+    (-1)^(m-1) * D_m(-2) > 0: one more half-line on c (`_window_range`).
+    At m == k that sign holds for every h, so it is imposed always; a box
+    holding -2 prunes nothing at its level.
+
+    By induction on m, every D_m the search accepts (m >= 2) has its
+    second smallest root r_2 above -2, so no node has two critical boxes at
+    or below -2.  If the smallest critical box lies above -2 or holds it,
+    r_2 lies in the gap above that box.  If it lies at or below -2, D_m(-2)
+    has the sign (-1)^(m-1), so an odd number of roots of D_m lie below -2,
+    and at most two do: r_3, if D_m has it, lies above the second critical
+    point, which lies above -2 by induction.  At m == k, where the sign of
+    h(-2) is imposed, this leaves exactly one root of h below -2, in
+    (-6, -2), and k-1 in (-2, 1/4): a leaf that alternates is a result.
     """
     if k < 2:
         raise ValueError("k >= 2 required")
@@ -362,39 +398,26 @@ def window_poly_search(k: int) -> list[IntPoly]:
         base = (0, *reversed(known))
         ranges = [_scaled_range(base, *box) for box in crit_boxes]
         lo_b, hi_b = _window_range(base, slope, ranges, -_coeff_bound(k, m),
-                                   _coeff_bound(k, m))
+                                   _coeff_bound(k, m),
+                                   _minus2_applies(m, k, crit_boxes))
         lo_i, hi_i = _interlacing_range(ranges, slope, lo_b, hi_b)
         for c in range(lo_b, hi_b + 1):
             d = (c * slope,) + base[1:]  # D_m; h itself when m == k
-            if m == k:
-                # one root below -2 and k-1 above give h(-2) the sign (-1)^(k-1)
-                s = _sign(_scaled_value(d, -2, 1))
-                if s != (-1) ** (k - 1):
-                    continue
             if not (lo_i <= c <= hi_i
                     or _alternates(base, c * slope, crit_boxes, ranges)):
                 continue
+            if m == k:
+                results.append(IntPoly(d))
+                continue
             # gap i runs from the top of critical box i (or -6) to the bottom
             # of box i-1 (or 1/4), over one denominator; D_m has one root in
-            # it and the sign (-1)^i at its upper end
-            gaps = []
+            # it, which the next level boxes
+            boxes = []
             for (an, ad), (bn, bd) in zip(
                     [(hn, den) for _, hn, den in crit_boxes] + [(-6, 1)],
                     [(1, 4)] + [(ln, den) for ln, _, den in crit_boxes]):
                 den = math.lcm(ad, bd)
-                gaps.append((an * (den // ad), bn * (den // bd), den))
-            if m == k:
-                # the root of h in gap i lies below -2 when the gap does, or
-                # when -2 is inside the gap and h(-2) already has the sign of
-                # the gap's upper end
-                below = sum(b <= -2 * den
-                            or (a < -2 * den and s == (-1) ** i)
-                            for i, (a, b, den) in enumerate(gaps))
-                if below == 1:
-                    results.append(IntPoly(d))
-                continue
-            boxes = []
-            for a, b, den in gaps:
+                a, b = an * (den // ad), bn * (den // bd)
                 s_lo = _sign(_scaled_value(d, a, den))
                 if s_lo * _sign(_scaled_value(d, b, den)) >= 0:
                     raise ConstructionFailed(

@@ -287,6 +287,21 @@ def test_enum_lemma4_k2(capsys):
     assert len(doc["certificates"]) == 15
 
 
+def test_enum_lemma4_capped(capsys, monkeypatch):
+    # k = 6 takes about 10 s and is accepted (the real run is pinned in
+    # test_salemkit); k = 7 took about 110 s and stays library-only
+    monkeypatch.setattr(cli, "pair_sum_enum",
+                        lambda k: salemkit.WindowEnumResult(k, (), ()))
+    assert cli.run(["enum", "--lemma4", "6"]) == 0
+    assert capsys.readouterr().out == \
+        "k=6: 0 window polynomials, 0 Salem certificates\n"
+    for k in ("1", "7"):
+        assert cli.run(["enum", "--lemma4", k]) == 1
+        assert capsys.readouterr().err == (
+            "error: --lemma4 K must be between 2 and 6; larger K is "
+            "available through the library enumerator\n")
+
+
 def test_enum_modes_mutually_exclusive(capsys):
     assert cli.run(["enum"]) == 1
     capsys.readouterr()

@@ -90,16 +90,19 @@ def _floor_lt(x: Fraction) -> int:
 
 
 def _fraction_window_bounds(base: IntPoly, slope: int, boxes, lo: int,
-                            hi: int):
+                            hi: int, minus2: bool):
     """The window search's pruning bounds in rationals, by the Fraction
     formulas: the reference for _window_range and _interlacing_range, as
     (weak range, interlacing range)."""
     lo = max(lo, _ceil_gt(-base.eval_fraction(Fraction(1, 4)) / slope))
-    val = base.eval_fraction(-6)
-    if base.degree % 2 == 0:
-        lo = max(lo, _ceil_gt(-val / slope))
-    else:
-        hi = min(hi, _floor_lt(-val / slope))
+    m = base.degree
+    # (-1)^m * D(-6) > 0, and (-1)^(m-1) * D(-2) > 0 when minus2 is set
+    for x, sign in [(-6, (-1) ** m)] + [(-2, (-1) ** (m - 1))] * minus2:
+        val = base.eval_fraction(x)
+        if sign > 0:
+            lo = max(lo, _ceil_gt(-val / slope))
+        else:
+            hi = min(hi, _floor_lt(-val / slope))
     ranges = [_fraction_poly_range(base, a, b) for a, b in boxes]
     for idx, (elo, ehi) in enumerate(ranges):
         if idx % 2 == 0:
@@ -127,10 +130,11 @@ _triple = st.builds(lambda a, b, den: (min(a, b), max(a, b), den),
        .filter(lambda cs: cs[-1] != 0),
        st.sampled_from((1, 2, 6, 24, 7)),
        st.lists(_triple, max_size=4),
-       st.integers(-80, 0), st.integers(0, 80))
-@example([4, 6, 4, 1], 1, [(-30, -20, 8), (-3, 1, 4), (2, 5, 96)], -20, 20)
+       st.integers(-80, 0), st.integers(0, 80), st.booleans())
+@example([4, 6, 4, 1], 1, [(-30, -20, 8), (-3, 1, 4), (2, 5, 96)], -20, 20,
+         True)
 def test_window_bounds_match_fraction_formulas(coeffs, slope, triples, lo,
-                                               hi):
+                                               hi, minus2):
     base = (0, *coeffs)
     boxes = [(Fraction(a, den), Fraction(b, den)) for a, b, den in triples]
     ranges = [_scaled_range(base, *t) for t in triples]
@@ -138,8 +142,8 @@ def test_window_bounds_match_fraction_formulas(coeffs, slope, triples, lo,
     for (rlo, rhi, scale), (a, b) in zip(ranges, boxes):
         assert (Fraction(rlo, scale), Fraction(rhi, scale)) == \
             _fraction_poly_range(ref, a, b)
-    weak, inter = _fraction_window_bounds(ref, slope, boxes, lo, hi)
-    assert _window_range(base, slope, ranges, lo, hi) == weak
+    weak, inter = _fraction_window_bounds(ref, slope, boxes, lo, hi, minus2)
+    assert _window_range(base, slope, ranges, lo, hi, minus2) == weak
     assert _interlacing_range(ranges, slope, *weak) == inter
 
 

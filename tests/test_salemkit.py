@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,9 @@ import pytest
 from salemrel import salemkit
 from salemrel.cyclo import cyclotomic, seq_poly
 from salemrel.factorint import is_irreducible
-from salemrel.polyarith import (IntPoly, pair_sum_lift, pair_sum_trace_poly,
-                                trace_lift, trace_project)
+from salemrel.polyarith import (IntPoly, _scaled_value, _sign, pair_sum_lift,
+                                pair_sum_trace_poly, trace_lift,
+                                trace_project)
 from salemrel.realroots import _scaled_range, count_roots
 from salemrel.salemkit import (FAMILIES, RejectionKind, bad_degrees,
                                build_salem_from_trace_poly,
@@ -256,6 +258,68 @@ def test_window_search_matches_brute_force(k):
     assert window_poly_search(k) == _brute_force_window_polys(k)
 
 
+def test_window_search_needs_the_minus2_half_line_above_the_leaf(monkeypatch):
+    # the leaf counts no roots below -2: the -2 half-line at the inner levels
+    # is what keeps the second root of every D_m above -2.  Without it the
+    # search keeps every polynomial it finds with it (the half-line cuts no
+    # valid h) and adds, at k = 4, h with three roots in (-6, -2)
+    window_range = salemkit._window_range
+    default = {k: window_poly_search(k) for k in (3, 4)}
+    for k, hs in default.items():
+        monkeypatch.setattr(
+            salemkit, "_window_range",
+            lambda base, slope, ranges, lo, hi, minus2, k=k: window_range(
+                base, slope, ranges, lo, hi, len(base) - 1 == k))
+        relaxed = window_poly_search(k)
+        assert set(hs) <= set(relaxed)
+        extra = set(relaxed) - set(hs)
+        assert len(extra) == (0 if k == 3 else 443)
+        for h in extra:
+            assert count_roots(h, -6, -2) == 3
+            assert count_roots(h, -2, Fraction(1, 4)) == k - 3
+
+
+# (base of D_m, descending boxes around the roots of D_m', whether the
+# smallest lies at or below -2): the smallest box below, straddling or
+# clearing -2, at m = 3 and m = 2 of the k = 5 search
+_MINUS2_CASES = [
+    ((0, 9, 6, 1), [(-5, -3, 4), (-7, -5, 2)], True),  # D' = 3(x+1)(x+3)
+    ((0, 9, 6, 1), [(-5, -3, 4), (-13, -7, 4)], False),
+    ((0, -3, 0, 1), [(3, 5, 4), (-5, -3, 4)], False),  # D' = 3(x-1)(x+1)
+    ((0, 6, 1), [(-7, -5, 2)], True),  # D' = 2(x + 3)
+    ((0, 5, 1), [(-3, -1, 1)], False),  # D' = 2(x + 5/2)
+    ((0, 2, 1), [(-5, -3, 4)], False),  # D' = 2(x + 1)
+]
+
+
+@pytest.mark.parametrize("base, boxes, low", _MINUS2_CASES)
+def test_minus2_half_line_matches_sign_at_minus2(base, boxes, low):
+    # D_m = base + c*(5 - m)!: the -2 half-line applies when the smallest
+    # box lies at or below -2, and then the weak range keeps exactly its c
+    # with (-1)^(m-1) * D_m(-2) > 0
+    m = len(base) - 1
+    slope = math.factorial(5 - m)
+    bound = salemkit._coeff_bound(5, m)
+    assert salemkit._minus2_applies(m, 5, boxes) == low
+    # at the leaf it always applies
+    assert salemkit._minus2_applies(m, m, boxes)
+    ranges = [_scaled_range(base, *box) for box in boxes]
+    wlo, whi = salemkit._window_range(base, slope, ranges, -bound, bound,
+                                      False)
+    plo, phi = salemkit._window_range(base, slope, ranges, -bound, bound,
+                                      low)
+    wrong = 0
+    for c in range(-bound, bound + 1):
+        d = (c * slope,) + base[1:]
+        right = _sign(_scaled_value(d, -2, 1)) == (-1) ** (m - 1)
+        weak = wlo <= c <= whi
+        assert (plo <= c <= phi) == (weak and (right or not low)), c
+        wrong += weak and not right
+    # in every case some c of the weak range has the wrong sign at -2, so
+    # the half-line cuts exactly when the smallest box is low
+    assert wrong
+
+
 def test_alternates_decides_by_gcd_at_a_double_root():
     # D = (x^2 - 2)^2 against D' = 4x(x^2 - 2): D vanishes at the irrational
     # critical points +-sqrt(2), so no bisection can exclude 0 there and the
@@ -298,6 +362,20 @@ def test_window_search_golden_digests():
         hs = window_poly_search(k)
         assert hashlib.sha256(repr([h.coeffs for h in hs]).encode()
                               ).hexdigest() == digest, k
+
+
+def test_pair_sum_enum_k6_golden():
+    # k = 6 extends the table of Salem certificates to 15/30/20/4/0 for
+    # k = 2..6: 33 window polynomials, and every lift is reducible
+    res = pair_sum_enum(6)
+    assert len(res.satisfying) == 33 and res.salem == ()
+    assert hashlib.sha256(repr([h.coeffs for h in res.satisfying]).encode()
+                          ).hexdigest() == (
+        "564cbbb39bba10d9a0a813150388b4e63de3e89d707550f3b65e0e30d5583d39")
+    for h in res.satisfying:
+        assert count_roots(h, -6, -2) == 1
+        assert count_roots(h, -2, Fraction(1, 4)) == 5
+        assert salem_check(pair_sum_lift(h)).kind is RejectionKind.REDUCIBLE
 
 
 def test_window_search_interlacing_path_is_integer_only(monkeypatch):
