@@ -14,8 +14,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .factorint import _divisors
-from .polyarith import IntPoly, div_exact, poly_gcd
+from .polyarith import IntPoly, _divisors, _is_prime, div_exact, poly_gcd
 
 VALIDATED_RANGE = (2, 200)
 
@@ -113,43 +112,92 @@ def cyclotomic(n: int) -> IntPoly:
     return q
 
 
-def _totients_up_to(limit: int) -> list[int]:
-    phi = list(range(limit + 1))
-    for i in range(2, limit + 1):
-        if phi[i] == i:  # i prime
-            for j in range(i, limit + 1, i):
-                phi[j] -= phi[j] // i
-    return phi
+def _orders_up_to(deg: int) -> list[tuple[int, int]]:
+    """(l, totient(l)) for every order l with totient(l) <= deg, by l.
+
+    Each l is built prime power by prime power over increasing primes, with
+    totient(p**e) = (p - 1) * p**(e - 1); a prime p can only occur when
+    p - 1 <= deg.
+    """
+    if deg < 1:
+        return []
+    primes = [p for p in range(2, deg + 2) if _is_prime(p)]
+    out = []
+
+    def extend(l, phi, start):
+        out.append((l, phi))
+        for i in range(start, len(primes)):
+            p = primes[i]
+            pe, phe = p, phi * (p - 1)
+            if phe > deg:
+                return
+            while phe <= deg:
+                extend(l * pe, phe, i + 1)
+                pe *= p
+                phe *= p
+
+    extend(1, 1, 0)
+    out.sort()
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _root_mod_prime(order: int) -> tuple[int, int]:
+    """(q, r): the least prime q = 1 (mod order) above 2**29, and an r of
+    exact multiplicative order `order` modulo q, so Phi_order(r) = 0
+    (mod q).  A large q makes a chance zero of p(r) mod q rare."""
+    k = (1 << 29) // order + 1
+    while not _is_prime(k * order + 1):
+        k += 1
+    q = k * order + 1
+    primes = [d for d in _divisors(order) if d > 1 and _is_prime(d)]
+    a = 2
+    while True:
+        r = pow(a, k, q)
+        if all(pow(r, order // d, q) != 1 for d in primes):
+            return q, r
+        a += 1
+
+
+def _value_mod(coeffs: tuple[int, ...], r: int, q: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * r + c) % q
+    return acc
+
+
+def _cyclotomic_split(p: IntPoly) -> tuple[list[CyclotomicHit], IntPoly]:
+    """(hits, cofactor): the hits of cyclotomic_part(p) and p divided by
+    every Phi_l**multiplicity among them."""
+    if p.is_zero:
+        raise ValueError("nonzero polynomial required")
+    hits = []
+    for order, phi in _orders_up_to(p.degree):
+        if phi > p.degree:
+            continue
+        # Phi_l(r) = 0 (mod q) and Phi_l is monic, so Phi_l | p forces
+        # p(r) = 0 (mod q): an order failing that test is never built
+        q, r = _root_mod_prime(order)
+        mult = 0
+        while _value_mod(p.coeffs, r, q) == 0:
+            quo, rem = divmod(p, cyclotomic(order))
+            if not rem.is_zero:
+                break
+            p = quo
+            mult += 1
+        if mult:
+            hits.append(CyclotomicHit(order, mult))
+    return hits, p
 
 
 def cyclotomic_part(p: IntPoly) -> list[CyclotomicHit]:
     """All orders l with Phi_l | p, with multiplicities, sorted by order.
 
-    Candidates are every l whose totient is at most deg p; since
-    totient(l) >= sqrt(l/2), the search stops at 2*deg(p)**2.
+    Candidates are every l whose totient is at most deg p.  Each is first
+    tested by one value of p modulo a prime q = 1 (mod l), at a root of
+    Phi_l there; only an order passing it is divided exactly.
     """
-    if p.is_zero:
-        raise ValueError("nonzero polynomial required")
-    deg = p.degree
-    if deg < 1:
-        return []
-    limit = 2 * deg * deg
-    phi = _totients_up_to(limit)
-    hits = []
-    for order in range(1, limit + 1):
-        if phi[order] > deg:
-            continue
-        q = cyclotomic(order)
-        if q.degree > deg:
-            continue
-        mult = 0
-        quo, rem = divmod(p, q)
-        while rem.is_zero:
-            mult += 1
-            quo, rem = divmod(quo, q)
-        if mult:
-            hits.append(CyclotomicHit(order, mult))
-    return hits
+    return _cyclotomic_split(p)[0]
 
 
 def cyclotomic_candidates(seq: SalemSeq) -> CandidateSet:

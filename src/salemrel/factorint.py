@@ -1,10 +1,12 @@
 """Exact factorization of univariate integer polynomials over the rationals.
 
-`factor` runs the classical modular pipeline: Yun squarefree decomposition,
-Cantor-Zassenhaus factorization modulo a well-chosen small prime, quadratic
-multifactor Hensel lifting past a Mignotte-style coefficient bound, and
-subset recombination.  `kronecker_factor_oracle` is an independent
-interpolation-based method kept for cross-checking in tests.
+`factor` takes off powers of x and the cyclotomic factors that
+`cyclo.cyclotomic_part` finds, then runs the classical modular pipeline on
+the cofactor: Yun squarefree decomposition, Cantor-Zassenhaus factorization
+modulo a well-chosen small prime, quadratic multifactor Hensel lifting past
+a Mignotte-style coefficient bound, and subset recombination, which divides
+only by candidates within that bound.  `kronecker_factor_oracle` is an
+independent interpolation-based method kept for cross-checking in tests.
 """
 
 from __future__ import annotations
@@ -12,10 +14,14 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polyarith import IntPoly, _signed_content, div_exact, poly_gcd
+from .cyclo import _cyclotomic_split, cyclotomic
+from .polyarith import (IntPoly, _divisors, _is_prime, _signed_content,
+                        div_exact, poly_gcd)
 
 
 class DegreeTooLargeError(ValueError):
@@ -101,15 +107,23 @@ def _gp_sub(a, b, p):
     return _gp_trim(out)
 
 
+# array typecodes of unsigned machine integers, by item size in bytes
+_SLOT_TYPECODES = {array(t).itemsize: t for t in "BHILQ"}
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
 def _kron_mul(a, b):
     """Exact product of two lists of nonnegative integer coefficients.
 
-    Kronecker substitution: each list is packed into one integer, w bits per
-    coefficient, the two integers are multiplied once and the product is
-    unpacked.  A product coefficient is a sum of at most min(len(a), len(b))
-    terms, each at most max(a)*max(b), so w is the bit length of that bound
-    and no slot carries into the next.  A one-coefficient operand is a plain
-    scalar multiply.  The result is not trimmed.
+    Kronecker substitution: each list is packed into one integer, one slot of
+    nb bytes per coefficient, the two integers are multiplied once and the
+    product is unpacked.  A product coefficient is a sum of at most
+    min(len(a), len(b)) terms, each at most max(a)*max(b), so a slot holds
+    the bit length of that bound rounded up to whole bytes and no slot
+    carries into the next.  Slots of 1, 2, 4 or 8 bytes are packed and
+    unpacked by an array of machine integers; wider ones by to_bytes and
+    from_bytes per coefficient.  A one-coefficient operand is a plain scalar
+    multiply.  The result is not trimmed.
     """
     if not a or not b:
         return []
@@ -119,20 +133,30 @@ def _kron_mul(a, b):
     if len(b) == 1:
         c = b[0]
         return [c * x for x in a]
-    w = (max(a) * max(b) * min(len(a), len(b))).bit_length()
-    x = 0
-    for c in reversed(a):
-        x = (x << w) | c
-    y = 0
-    for c in reversed(b):
-        y = (y << w) | c
-    z = x * y
-    mask = (1 << w) - 1
-    out = []
-    for _ in range(len(a) + len(b) - 1):
-        out.append(z & mask)
-        z >>= w
-    return out
+    n = len(a) + len(b) - 1
+    top = max(a) * max(b)
+    if not top:
+        return [0] * n
+    nb = ((top * min(len(a), len(b))).bit_length() + 7) // 8
+    if nb <= 8:
+        nb = 1 << (nb - 1).bit_length()
+        code = _SLOT_TYPECODES[nb]
+        x, y = array(code, a), array(code, b)
+        if _BIG_ENDIAN:
+            x.byteswap()
+            y.byteswap()
+        z = int.from_bytes(x, "little") * int.from_bytes(y, "little")
+        out = array(code, z.to_bytes(n * nb, "little"))
+        if _BIG_ENDIAN:
+            out.byteswap()
+        return out.tolist()
+    x = int.from_bytes(b"".join([c.to_bytes(nb, "little") for c in a]),
+                       "little")
+    y = int.from_bytes(b"".join([c.to_bytes(nb, "little") for c in b]),
+                       "little")
+    buf = (x * y).to_bytes(n * nb, "little")
+    return [int.from_bytes(buf[i:i + nb], "little")
+            for i in range(0, n * nb, nb)]
 
 
 def _gp_mul(a, b, p):
@@ -355,20 +379,6 @@ def _hensel_multilift(f_mod, facs, p, steps):
 # -- the Zassenhaus driver --------------------------------------------------------
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
-        if n % q == 0:
-            return n == q
-    d = 37
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def _choose_prime(f: IntPoly) -> int:
     """Smallest p >= 5 keeping f squarefree and degree-preserving mod p."""
     p = 5
@@ -387,11 +397,18 @@ def _coeff_seed(f: IntPoly) -> int:
     return seed
 
 
-def _mignotte_exponent_steps(f: IntPoly, p: int) -> int:
-    """Doubling steps so p**(2**steps) exceeds twice the factor coeff bound."""
+def _mignotte_bound(f: IntPoly) -> int:
+    """A bound on the absolute value of every coefficient of every integer
+    factor of f: Mignotte's 2**n * ||f||_2 for deg f = n, with
+    ||f||_2 < (isqrt(n + 1) + 1) * height(f), times |lc(f)|."""
     n = f.degree
     height = max(abs(c) for c in f.coeffs)
-    bound = (math.isqrt(n + 1) + 1) * (1 << n) * height * abs(f.lc)
+    return (math.isqrt(n + 1) + 1) * (1 << n) * height * abs(f.lc)
+
+
+def _lift_steps(bound: int, p: int) -> int:
+    """Doubling steps so p**(2**steps) exceeds 2*bound + 1: symmetric
+    residues modulo it then recover every coefficient within the bound."""
     target = 2 * bound + 1
     steps = 0
     m = p
@@ -411,7 +428,8 @@ def _factor_monic_squarefree(f: IntPoly) -> list[IntPoly]:
     modular = _gp_factor_monic_squarefree(fbar, p, rng)
     if len(modular) == 1:
         return [f]
-    steps = _mignotte_exponent_steps(f, p)
+    bound = _mignotte_bound(f)
+    steps = _lift_steps(bound, p)
     modulus = p ** (1 << steps)
     f_mod = [c % modulus for c in f.coeffs]
     lifted = _hensel_multilift(f_mod, modular, p, steps)
@@ -430,6 +448,9 @@ def _factor_monic_squarefree(f: IntPoly) -> list[IntPoly]:
             prod = [1]
             for i in combo:
                 prod = _gp_mul(prod, lifted[i], modulus)
+            # every coefficient of a true factor lies within the bound
+            if any(bound < c < modulus - bound for c in prod):
+                continue
             cand = symmetric(prod)
             if g[0] != 0 and cand[0] != 0 and g[0] % cand[0] != 0:
                 continue
@@ -485,6 +506,11 @@ def factor(p: IntPoly) -> Factorization:
         f = IntPoly(f.coeffs[1:])
     if k:
         counts[IntPoly.x()] = k
+    # then the cyclotomic factors, found by one modular value per order, so
+    # that only the cofactor is lifted and recombined
+    hits, f = _cyclotomic_split(f)
+    for hit in hits:
+        counts[cyclotomic(hit.order)] = hit.multiplicity
     for part, mult in squarefree_decomposition(f):
         for irr in _factor_squarefree(part):
             counts[irr] = counts.get(irr, 0) + mult
@@ -499,20 +525,6 @@ def is_irreducible(p: IntPoly) -> bool:
     fz = factor(p)
     return (abs(fz.content) == 1 and len(fz.factors) == 1
             and fz.factors[0][1] == 1)
-
-
-def _divisors(n: int) -> list[int]:
-    """Positive divisors of |n| in ascending order, by trial division."""
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
 
 
 # -- Kronecker interpolation oracle (tests only) ----------------------------------

@@ -29,6 +29,52 @@ def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
+def _divisors(n: int) -> list[int]:
+    """Positive divisors of |n| in ascending order, by trial division."""
+    n = abs(n)
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d * d != n:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
+# Miller-Rabin with these bases decides primality for every n below the
+# bound, the least strong pseudoprime to all twelve of them
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 318665857834031151167461
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for n < _MR_BOUND."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n >= _MR_BOUND:
+        raise ValueError("primality test limited to n < 3.18e23")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _trim(coeffs: Iterable[int]) -> tuple[int, ...]:
     cs = list(coeffs)
     while cs and cs[-1] == 0:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from salemrel import cli, salemkit
+from salemrel.cyclo import cyclotomic
 from salemrel.polyarith import IntPoly, format_poly, trace_lift
 from salemrel.salemkit import (ConstructionFailed, enum_deg6_trace0,
                                pair_sum_enum)
@@ -224,6 +225,23 @@ def test_cyclotomic_factors_golden(capsys):
     assert code == 0
     hits = [(h["order"], h["multiplicity"]) for h in doc["result"]["hits"]]
     assert hits == [(1, 2), (2, 1), (3, 1)]
+
+
+def test_factor_and_cyclotomic_factors_of_x600_minus_1(capsys):
+    orders = [d for d in range(1, 601) if 600 % d == 0]
+    assert len(orders) == 24
+    start = time.monotonic()
+    code, doc = _run_json(capsys, ["factor", "x^600-1"])
+    assert code == 0
+    expected = sorted((cyclotomic(d) for d in orders), key=IntPoly.sort_key)
+    assert [(f["poly"]["display"], f["multiplicity"])
+            for f in doc["result"]["factors"]] == \
+        [(format_poly(q), 1) for q in expected]
+    code, doc = _run_json(capsys, ["cyclotomic-factors", "x^600-1"])
+    assert code == 0
+    assert [(h["order"], h["multiplicity"])
+            for h in doc["result"]["hits"]] == [(d, 1) for d in orders]
+    assert time.monotonic() - start < 5
 
 
 def test_seq_and_bad_degrees(capsys):

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
-from salemrel.cyclo import (CyclotomicHit, SalemSeq, cyclotomic,
+from salemrel.cyclo import (CyclotomicHit, SalemSeq, _orders_up_to,
+                            _root_mod_prime, _value_mod, cyclotomic,
                             cyclotomic_candidates, cyclotomic_part,
                             cyclotomic_progressions, seq_poly)
-from salemrel.polyarith import IntPoly
+from salemrel.polyarith import IntPoly, _divisors, _is_prime
 from salemrel.salemkit import FAMILIES
 
 
@@ -74,6 +77,86 @@ def test_cyclotomic_part_family_members():
         CyclotomicHit(4, 1),
     ]
     assert cyclotomic_part(seq_poly(FAMILIES[0], 7)) == [CyclotomicHit(8, 1)]
+
+
+def _totient_sieve(limit: int) -> list[int]:
+    phi = list(range(limit + 1))
+    for i in range(2, limit + 1):
+        if phi[i] == i:  # i prime
+            for j in range(i, limit + 1, i):
+                phi[j] -= phi[j] // i
+    return phi
+
+
+def _sieve_and_divide(p: IntPoly) -> list[CyclotomicHit]:
+    """The reference method: trial division by every Phi_l with
+    totient(l) <= deg p, for l up to 2*deg**2 (totient(l) >= sqrt(l/2))."""
+    deg = p.degree
+    if deg < 1:
+        return []
+    limit = 2 * deg * deg
+    phi = _totient_sieve(limit)
+    hits = []
+    for order in range(1, limit + 1):
+        if phi[order] > deg:
+            continue
+        q = cyclotomic(order)
+        mult = 0
+        quo, rem = divmod(p, q)
+        while rem.is_zero:
+            mult += 1
+            quo, rem = divmod(quo, q)
+        if mult:
+            hits.append(CyclotomicHit(order, mult))
+    return hits
+
+
+def test_orders_match_totient_sieve():
+    phi = _totient_sieve(2 * 150 * 150)
+    for deg in range(151):
+        expected = [(l, phi[l]) for l in range(1, 2 * deg * deg + 1)
+                    if phi[l] <= deg]
+        assert _orders_up_to(deg) == expected, deg
+
+
+def test_root_mod_prime_is_a_root_of_phi():
+    for order in range(1, 331):
+        q, r = _root_mod_prime(order)
+        assert _is_prime(q) and (q - 1) % order == 0
+        assert pow(r, order, q) == 1
+        for d in _divisors(order):
+            if d < order:
+                assert pow(r, d, q) != 1, (order, d)
+        assert _value_mod(cyclotomic(order).coeffs, r, q) == 0
+
+
+def _cofactor(rng, reciprocal: bool) -> IntPoly:
+    """A random cofactor of degree 1..8 with small coefficients; when asked,
+    palindromic, the shape of the paper's reciprocal members."""
+    deg = rng.randint(1, 8)
+    if reciprocal:
+        half = [rng.choice((1, 2))] + [rng.randint(-4, 4)
+                                       for _ in range(deg // 2)]
+        return IntPoly(tuple(half + half[:(deg + 1) // 2][::-1]))
+    low = [rng.randint(-4, 4) for _ in range(deg)]
+    return IntPoly(tuple(low) + (rng.choice((1, 2, 3)),))
+
+
+def test_cyclotomic_part_matches_sieve_and_divide():
+    rng = random.Random(2024)
+    for case in range(40):
+        p = _cofactor(rng, reciprocal=case % 2 == 0)
+        assert case % 2 or p == p.reciprocal()
+        budget = 48
+        for _ in range(rng.randint(1, 3)):
+            q = cyclotomic(rng.randint(1, 60))
+            if q.degree <= budget:
+                p = p * q
+                budget -= q.degree
+        assert cyclotomic_part(p) == _sieve_and_divide(p)
+    for n in range(1, 61):
+        p = IntPoly.monomial(n) - IntPoly.one()
+        assert cyclotomic_part(p) == _sieve_and_divide(p)
 
 
 # -- sequence definitions --------------------------------------------------------------

@@ -5,11 +5,12 @@ from unittest import mock
 import pytest
 
 from salemrel import factorint
-from salemrel.cyclo import cyclotomic
+from salemrel.cyclo import cyclotomic, seq_poly
 from salemrel.factorint import (DegreeTooLargeError, factor, is_irreducible,
                                 kronecker_factor_oracle,
                                 squarefree_decomposition)
 from salemrel.polyarith import IntPoly, pair_sum_lift, trace_lift
+from salemrel.salemkit import FAMILIES
 
 
 def _random_poly(rng, max_deg):
@@ -99,6 +100,32 @@ def test_high_degree_cyclotomic_times_eisenstein():
     assert max(len(c.args[0]) - 1 for c in reducer.call_args_list) >= \
         factorint._NEWTON_MIN_DEGREE
     assert max(len(c.args[1]) for c in lift.call_args_list) >= 3
+
+
+def test_recombination_divides_only_true_factors(monkeypatch):
+    # the modular factors of a reciprocal member pair up as u, u*, and each
+    # pair's product passes the constant-term test; the coefficient bound
+    # must reject every such false candidate before a trial division
+    member = seq_poly(FAMILIES[0], 80)
+    exact = []
+
+    def counting_divmod(a, b):
+        quo, rem = divmod(a, b)
+        exact.append(rem.is_zero)
+        return quo, rem
+
+    monkeypatch.setattr(factorint, "divmod", counting_divmod, raising=False)
+    found = factorint._factor_monic_squarefree(member)
+    product = IntPoly((1,))
+    for q in found:
+        product = product * q
+    assert product == member and len(found) == 2
+    assert exact == [True]
+    # factor takes the cyclotomic factor off first: recombination is left
+    # with the irreducible cofactor and divides nothing
+    exact.clear()
+    assert factor(member).factor_count == 2
+    assert exact == []
 
 
 def test_trace_lift_of_linear_shift_two():

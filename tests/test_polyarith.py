@@ -4,7 +4,7 @@ import random
 import pytest
 
 from salemrel.polyarith import (IntPoly, NotReciprocalError, OddDegreeError,
-                                div_exact, format_poly, norm_form,
+                                _divisors, _is_prime, div_exact, format_poly, norm_form,
                                 pair_sum_lift, pair_sum_trace_poly, poly_gcd,
                                 trace, trace_lift, trace_project)
 
@@ -94,6 +94,22 @@ def test_div_exact():
     assert div_exact(p, q) == IntPoly((-1, 1))
     with pytest.raises(ValueError):
         div_exact(IntPoly((1, 1, 1)), IntPoly((1, 1)))
+
+
+def test_is_prime_and_divisors_match_trial_division():
+    for n in range(-5, 3000):
+        divs = [d for d in range(1, abs(n) + 1) if n % d == 0]
+        assert _divisors(n) == divs, n
+        assert _is_prime(n) == (divs == [1, n]), n
+    # Carmichael numbers, and strong pseudoprimes to the bases 2, 3, 5, 7
+    # and to every prime base up to 23
+    for n in (561, 41041, 3215031751, 3825123056546413051):
+        assert not _is_prime(n)
+    for q in (2 ** 31 - 1, 2 ** 61 - 1, 10 ** 18 + 9):
+        assert _is_prime(q)
+    # the least strong pseudoprime to every base up to 37 is refused
+    with pytest.raises(ValueError):
+        _is_prime(318665857834031151167461)
 
 
 def test_poly_gcd_contains_common_factor():

@@ -3,10 +3,11 @@ evaluation kernel of realroots (interval Horner, bisection, Sturm sign
 variations) and the window search's pruning bounds against
 rational-arithmetic references, the canonical print form against the
 parser, exact division against rational long division, modular
-division by a monic divisor modulo composite moduli, the packed modular
-multiplication, division and fixed-modulus powering against schoolbook
-copies, poly_gcd and its remainder sequence against Euclid over the
-rationals, the modular factoriser against the interpolation oracle, and
+division by a monic divisor modulo composite moduli, the Kronecker
+product kernel and the packed modular multiplication, division and
+fixed-modulus powering against schoolbook copies, poly_gcd and its
+remainder sequence against Euclid over the rationals, the modular
+factoriser against the interpolation oracle, and
 the integer relation screen against per-vector rational interval sums.
 Example counts stay small and the search is derandomized so every run
 checks the same cases."""
@@ -14,6 +15,7 @@ checks the same cases."""
 import math
 import sys
 from fractions import Fraction
+from array import array
 from types import SimpleNamespace
 from unittest import mock
 
@@ -22,8 +24,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from salemrel import polyarith, realroots, relations
-from salemrel.factorint import (_gp_divmod, _gp_mul, _gp_powmod,
-                                _gp_reducer, factor, kronecker_factor_oracle)
+from salemrel.factorint import (_SLOT_TYPECODES, _gp_divmod, _gp_mul,
+                                _gp_powmod, _gp_reducer, _kron_mul, factor,
+                                kronecker_factor_oracle)
 from salemrel.cyclo import seq_poly
 from salemrel.parsing import parse_poly
 from salemrel.polyarith import (IntPoly, _primitive_prs, _scaled_value,
@@ -551,6 +554,58 @@ def _unit_lc_poly(draw, m, min_degree=0):
 def test_gp_mul_matches_schoolbook(case):
     m, a, b = case
     assert _gp_mul(a, b, m) == _school_mul(a, b, m)
+
+
+def _school_product(a, b):
+    """Schoolbook product over the integers, untrimmed: the reference for
+    _kron_mul."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return out
+
+
+def _coefficients(bits):
+    """Up to 30 coefficients below 2**bits, the largest drawn often."""
+    top = (1 << bits) - 1
+    values = st.one_of(st.integers(0, top), st.sampled_from((0, 1, top)))
+    return st.lists(values, max_size=30)
+
+
+# coefficient sizes whose slots fall on both sides of 8, 16, 32 and 64 bits,
+# and Hensel-sized ones
+_SLOT_BITS = st.one_of(st.integers(1, 40),
+                       st.sampled_from((63, 64, 65, 150, 300, 320)))
+
+
+def test_slot_typecodes_have_their_item_size():
+    for size in (1, 2, 4, 8):
+        assert array(_SLOT_TYPECODES[size]).itemsize == size
+
+
+@_PROPERTY
+@given(st.tuples(_SLOT_BITS, _SLOT_BITS).flatmap(
+    lambda bits: st.tuples(_coefficients(bits[0]), _coefficients(bits[1]))))
+# a slot bound of exactly 8, 9, 16, 17, 32, 33, 64 and 65 bits, with every
+# product coefficient at that bound
+@example(([15] * 2, [7] * 2))
+@example(([15] * 2, [15] * 2))
+@example(([2 ** 8 - 1] * 2, [2 ** 7 - 1] * 2))
+@example(([2 ** 8 - 1] * 2, [2 ** 8 - 1] * 2))
+@example(([2 ** 16 - 1] * 2, [2 ** 15 - 1] * 2))
+@example(([2 ** 16 - 1] * 2, [2 ** 16 - 1] * 2))
+@example(([2 ** 32 - 1] * 2, [2 ** 31 - 1] * 2))
+@example(([2 ** 32 - 1] * 2, [2 ** 32 - 1] * 2))
+@example(([2 ** 300 - 1] * 9, [2 ** 310 - 1] * 5))
+@example(([], [3, 4]))
+@example(([5], [2 ** 70, 3]))
+@example(([0, 0, 0], [9, 9]))
+def test_kron_mul_matches_schoolbook(case):
+    a, b = case
+    assert _kron_mul(a, b) == _school_product(a, b)
 
 
 @_PROPERTY
