@@ -14,8 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-import sys
-from array import array
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -107,22 +106,20 @@ def _gp_sub(a, b, p):
     return _gp_trim(out)
 
 
-# array typecodes of unsigned machine integers, by item size in bytes
-_SLOT_TYPECODES = {array(t).itemsize: t for t in "BHILQ"}
-_BIG_ENDIAN = sys.byteorder == "big"
+# struct codes of little-endian unsigned slots, by slot size in bytes
+_SLOT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def _kron_mul(a, b):
     """Exact product of two lists of nonnegative integer coefficients.
 
-    Kronecker substitution: each list is packed into one integer, one slot of
-    nb bytes per coefficient, the two integers are multiplied once and the
-    product is unpacked.  A product coefficient is a sum of at most
-    min(len(a), len(b)) terms, each at most max(a)*max(b), so a slot holds
-    the bit length of that bound rounded up to whole bytes and no slot
-    carries into the next.  Slots of 1, 2, 4 or 8 bytes are packed and
-    unpacked by an array of machine integers; wider ones by to_bytes and
-    from_bytes per coefficient.  A one-coefficient operand is a plain scalar
+    Kronecker substitution: each list is packed into one integer, w bits per
+    coefficient, the two integers are multiplied once and the product is
+    unpacked.  A product coefficient is a sum of at most min(len(a), len(b))
+    terms, each at most max(a)*max(b), so w is the bit length of that bound
+    and no slot carries into the next.  Slots of up to 64 bits are rounded
+    up to 1, 2, 4 or 8 bytes and packed and unpacked by struct in C; wider
+    ones by shift loops.  A one-coefficient operand is a plain scalar
     multiply.  The result is not trimmed.
     """
     if not a or not b:
@@ -134,29 +131,27 @@ def _kron_mul(a, b):
         c = b[0]
         return [c * x for x in a]
     n = len(a) + len(b) - 1
-    top = max(a) * max(b)
-    if not top:
-        return [0] * n
-    nb = ((top * min(len(a), len(b))).bit_length() + 7) // 8
-    if nb <= 8:
-        nb = 1 << (nb - 1).bit_length()
-        code = _SLOT_TYPECODES[nb]
-        x, y = array(code, a), array(code, b)
-        if _BIG_ENDIAN:
-            x.byteswap()
-            y.byteswap()
-        z = int.from_bytes(x, "little") * int.from_bytes(y, "little")
-        out = array(code, z.to_bytes(n * nb, "little"))
-        if _BIG_ENDIAN:
-            out.byteswap()
-        return out.tolist()
-    x = int.from_bytes(b"".join([c.to_bytes(nb, "little") for c in a]),
-                       "little")
-    y = int.from_bytes(b"".join([c.to_bytes(nb, "little") for c in b]),
-                       "little")
-    buf = (x * y).to_bytes(n * nb, "little")
-    return [int.from_bytes(buf[i:i + nb], "little")
-            for i in range(0, n * nb, nb)]
+    w = (max(a) * max(b) * min(len(a), len(b))).bit_length()
+    if w <= 64:
+        nb = 1 << ((w - 1) // 8).bit_length()
+        fmt = "<%d" + _SLOT_CODES[nb]
+        x = int.from_bytes(struct.pack(fmt % len(a), *a), "little")
+        y = int.from_bytes(struct.pack(fmt % len(b), *b), "little")
+        z = (x * y).to_bytes(n * nb, "little")
+        return list(struct.unpack(fmt % n, z))
+    x = 0
+    for c in reversed(a):
+        x = (x << w) | c
+    y = 0
+    for c in reversed(b):
+        y = (y << w) | c
+    z = x * y
+    mask = (1 << w) - 1
+    out = []
+    for _ in range(n):
+        out.append(z & mask)
+        z >>= w
+    return out
 
 
 def _gp_mul(a, b, p):

@@ -13,9 +13,9 @@ Example counts stay small and the search is derandomized so every run
 checks the same cases."""
 
 import math
+import struct
 import sys
 from fractions import Fraction
-from array import array
 from types import SimpleNamespace
 from unittest import mock
 
@@ -24,7 +24,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from salemrel import polyarith, realroots, relations
-from salemrel.factorint import (_SLOT_TYPECODES, _gp_divmod, _gp_mul,
+from salemrel.factorint import (_SLOT_CODES, _gp_divmod, _gp_mul,
                                 _gp_powmod, _gp_reducer, _kron_mul, factor,
                                 kronecker_factor_oracle)
 from salemrel.cyclo import seq_poly
@@ -581,9 +581,9 @@ _SLOT_BITS = st.one_of(st.integers(1, 40),
                        st.sampled_from((63, 64, 65, 150, 300, 320)))
 
 
-def test_slot_typecodes_have_their_item_size():
+def test_slot_codes_have_their_size():
     for size in (1, 2, 4, 8):
-        assert array(_SLOT_TYPECODES[size]).itemsize == size
+        assert struct.calcsize("<" + _SLOT_CODES[size]) == size
 
 
 @_PROPERTY
