@@ -13,8 +13,10 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from typing import Callable, Sequence
 
 from .cyclo import cyclotomic, cyclotomic_part, seq_poly
 from .factorint import factor, kronecker_factor_oracle
@@ -44,6 +46,10 @@ class _InputError(Exception):
 _MAX_SEQ_N = 10 ** 6
 _MAX_BAD_DEGREE = 10 ** 6
 _MAX_TRACE0_DEGREE = 400
+# factor and cyclotomic-factors first make a cyclotomic sweep quadratic in
+# the degree (on 2 cores 1.0 s on x^3000-1, 2.3 s on x^3000+1, 7.5 s on
+# x^6000+1); the cap bounds the sweep, not the rest of factor's work
+_MAX_FACTOR_DEGREE = 3000
 
 
 def _check_cap(flag: str, value: int, cap: int) -> None:
@@ -187,7 +193,20 @@ def _verify_factorization(p: IntPoly, fac) -> list[str]:
 
 
 # -- subcommand handlers ------------------------------------------------------------
-# each returns (input_doc, result_doc, certificates, reports, text_lines, verify_fn)
+
+
+@dataclass(frozen=True)
+class _Reply:
+    """What a subcommand handler returns: the input and result documents,
+    the text lines, the --verify check (a list of failures), and the
+    certificates and relation reports the JSON document lists."""
+
+    input: dict
+    result: dict
+    lines: list[str]
+    verify: Callable[[], list[str]]
+    certs: Sequence[SalemCertificate] = ()
+    reports: Sequence = ()
 
 
 def _read_poly(arg: str) -> IntPoly:
@@ -207,9 +226,7 @@ def _read_reciprocal(arg: str, lift: int = 1) -> IntPoly:
 def _cmd_salem_check(args):
     p = _read_reciprocal(args.poly)
     outcome = salem_check(p)
-    certs = []
     if outcome:
-        certs.append(outcome)
         result = {"is_salem": True, "rejection": None}
         lines = [f"Salem minimal polynomial: {format_poly(p)}",
                  _alpha_line(outcome)]
@@ -219,7 +236,8 @@ def _cmd_salem_check(args):
         lines = [f"not a Salem minimal polynomial: {outcome.kind.value}"
                  + (f" ({outcome.detail})" if outcome.detail else "")]
         verify = lambda: []
-    return {"poly": format_poly(p)}, result, certs, [], lines, verify
+    return _Reply({"poly": format_poly(p)}, result, lines, verify,
+                  certs=[outcome] if outcome else [])
 
 
 def _cmd_trace_poly(args):
@@ -235,8 +253,8 @@ def _cmd_trace_poly(args):
             fails.append("trace changed under projection")
         return fails
 
-    return ({"poly": format_poly(p)}, {"trace_poly": _poly_doc(g)},
-            [], [], lines, verify)
+    return _Reply({"poly": format_poly(p)}, {"trace_poly": _poly_doc(g)},
+                  lines, verify)
 
 
 def _cmd_trace_lift(args):
@@ -248,8 +266,8 @@ def _cmd_trace_lift(args):
         return ([] if trace_project(f) == g
                 else ["projection of the lift does not reproduce input"])
 
-    return ({"poly": format_poly(g)}, {"lift": _poly_doc(f)},
-            [], [], lines, verify)
+    return _Reply({"poly": format_poly(g)}, {"lift": _poly_doc(f)},
+                  lines, verify)
 
 
 def _cmd_lemma4_lift(args):
@@ -278,15 +296,15 @@ def _cmd_lemma4_lift(args):
             fails.extend(_verify_certificate(c))
         return fails
 
-    return ({"poly": format_poly(h)},
-            {"lift": _poly_doc(f), "trace_poly": _poly_doc(g),
-             "is_salem": bool(outcome),
-             "rejection": None if outcome else _rejection_doc(outcome)},
-            certs, [], lines, verify)
+    result = {"lift": _poly_doc(f), "trace_poly": _poly_doc(g),
+              "is_salem": bool(outcome),
+              "rejection": None if outcome else _rejection_doc(outcome)}
+    return _Reply({"poly": format_poly(h)}, result, lines, verify, certs=certs)
 
 
 def _cmd_factor(args):
     p = _read_poly(args.poly)
+    _check_cap("polynomial degree", p.degree, _MAX_FACTOR_DEGREE)
     fac = factor(p)
     result = {
         "content": str(fac.content),
@@ -298,12 +316,13 @@ def _cmd_factor(args):
         text = format_poly(q)
         pieces.append(f"({text})^{m}" if m > 1 else f"({text})")
     lines = [" * ".join(pieces) if pieces else "1"]
-    return ({"poly": format_poly(p)}, result, [], [], lines,
-            lambda: _verify_factorization(p, fac))
+    return _Reply({"poly": format_poly(p)}, result, lines,
+                  lambda: _verify_factorization(p, fac))
 
 
 def _cmd_cyclotomic_factors(args):
     p = _read_poly(args.poly)
+    _check_cap("polynomial degree", p.degree, _MAX_FACTOR_DEGREE)
     hits = cyclotomic_part(p)
     result = {"hits": [{"order": h.order, "multiplicity": h.multiplicity,
                         "poly": _poly_doc(cyclotomic(h.order))}
@@ -332,7 +351,7 @@ def _cmd_cyclotomic_factors(args):
                     fails.append(f"Phi_{h.order} multiplicity understated")
         return fails
 
-    return {"poly": format_poly(p)}, result, [], [], lines, verify
+    return _Reply({"poly": format_poly(p)}, result, lines, verify)
 
 
 def _cmd_seq(args):
@@ -350,8 +369,8 @@ def _cmd_seq(args):
             member = quo
         return [] if member == g else ["sequence member reconstruction failed"]
 
-    return ({"family": args.family, "n": args.n},
-            {"poly": _poly_doc(g), "degree": g.degree}, [], [], lines, verify)
+    return _Reply({"family": args.family, "n": args.n},
+                  {"poly": _poly_doc(g), "degree": g.degree}, lines, verify)
 
 
 def _cmd_bad_degrees(args):
@@ -389,8 +408,8 @@ def _cmd_bad_degrees(args):
                         f"order {order} prediction wrong at n={n}")
         return fails
 
-    return ({"family": args.family, "max_degree": args.max_degree},
-            result, [], [], lines, verify)
+    return _Reply({"family": args.family, "max_degree": args.max_degree},
+                  result, lines, verify)
 
 
 def _cmd_trace0(args):
@@ -424,7 +443,7 @@ def _cmd_trace0(args):
                 fails.append("family member reconstruction failed")
         return fails
 
-    return ({"degree": args.degree}, result, [cert], [], lines, verify)
+    return _Reply({"degree": args.degree}, result, lines, verify, certs=[cert])
 
 
 def _cmd_enum(args):
@@ -455,7 +474,8 @@ def _cmd_enum(args):
                 fails.append("enumeration counts changed")
             return fails
 
-        return {"mode": "deg6-trace0"}, result, certs, [], lines, verify
+        return _Reply({"mode": "deg6-trace0"}, result, lines, verify,
+                      certs=certs)
 
     if not 2 <= args.lemma4 <= 6:
         raise _InputError("--lemma4 K must be between 2 and 6; larger K is "
@@ -489,7 +509,8 @@ def _cmd_enum(args):
                              + format_poly(h))
         return fails
 
-    return {"mode": "lemma4", "k": args.lemma4}, result, certs, [], lines, verify
+    return _Reply({"mode": "lemma4", "k": args.lemma4}, result, lines,
+                  verify, certs=certs)
 
 
 def _cmd_relations(args):
@@ -524,9 +545,9 @@ def _cmd_relations(args):
                              "screening at doubled precision")
         return fails
 
-    return ({"poly": format_poly(p), "max_length": args.max_length,
-             "precision_bits": args.precision},
-            result, [outcome], list(reports), lines, verify)
+    return _Reply({"poly": format_poly(p), "max_length": args.max_length,
+                   "precision_bits": args.precision},
+                  result, lines, verify, certs=[outcome], reports=reports)
 
 
 def _cmd_parse(args):
@@ -538,7 +559,7 @@ def _cmd_parse(args):
         return ([] if parse_poly(format_poly(p)) == p
                 else ["canonical form does not round-trip"])
 
-    return {"poly": args.poly}, {"poly": _poly_doc(p)}, [], [], lines, verify
+    return _Reply({"poly": args.poly}, {"poly": _poly_doc(p)}, lines, verify)
 
 
 # -- driver -------------------------------------------------------------------------
@@ -629,8 +650,7 @@ def _run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        handler = _HANDLERS[args.command]
-        input_doc, result, certs, reports, lines, verify = handler(args)
+        out = _HANDLERS[args.command](args)
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -642,7 +662,7 @@ def _run(argv) -> int:
 
     verified = False
     if args.verify:
-        failures = verify()
+        failures = out.verify()
         if failures:
             for failure in failures:
                 print(f"verification failed: {failure}", file=sys.stderr)
@@ -652,15 +672,15 @@ def _run(argv) -> int:
     if args.json:
         doc = {
             "command": args.command,
-            "input": input_doc,
-            "result": result,
-            "certificates": [_cert_doc(c) for c in certs],
-            "reports": [_report_doc(r) for r in reports],
+            "input": out.input,
+            "result": out.result,
+            "certificates": [_cert_doc(c) for c in out.certs],
+            "reports": [_report_doc(r) for r in out.reports],
             "verified": verified,
         }
         print(json.dumps(doc, indent=2))
     else:
-        for line in lines:
+        for line in out.lines:
             print(line)
         if verified:
             print("verified: all cross-checks passed")

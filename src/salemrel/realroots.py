@@ -8,7 +8,9 @@ squarefree part there and the chain's sign variations (`_chain_at`).  All
 interval endpoints are rational (or +-infinity), all signs are evaluated
 exactly, and every returned interval certificate (RootBox) either brackets
 exactly one real root with a strict sign change or pins a rational root
-exactly.
+exactly.  A RootBox keeps its ends as integer numerators over one positive
+denominator; its constructor and isolation turn Fraction ends into them
+(`_common_den`), and `refine` bisects them in place of Fractions (`_bisect`).
 """
 
 from __future__ import annotations
@@ -34,23 +36,23 @@ class EndpointIsRootError(ValueError):
 class RootBox:
     """Certificate bracketing one real root of `poly` (its squarefree part).
 
-    Either `exact` is a rational root and lo == hi == exact, or lo < hi,
-    poly(lo) and poly(hi) are nonzero with opposite signs, and exactly one
-    root lies in the open interval (lo, hi).
+    The box is [ln/den, hn/den]: integer numerators over one positive
+    denominator.  Either ln == hn and that rational is a root of poly, or
+    ln < hn, poly(lo) and poly(hi) are nonzero with opposite signs, and
+    exactly one root lies in the open interval (lo, hi).  lo, hi, exact
+    (None unless ln == hn), width and mid read the ends as Fractions.
     """
 
-    __slots__ = ("poly", "lo", "hi", "exact")
+    __slots__ = ("poly", "ln", "hn", "den")
 
     def __init__(self, poly: IntPoly, lo: Fraction, hi: Fraction,
                  exact: Optional[Fraction] = None):
-        lo = Fraction(lo)
-        hi = Fraction(hi)
         if exact is not None:
-            exact = Fraction(exact)
-            if poly.sign_at(exact) != 0:
+            lo = hi = Fraction(exact)
+            if poly.sign_at(lo) != 0:
                 raise ValueError("exact value is not a root")
-            lo = hi = exact
         else:
+            lo, hi = Fraction(lo), Fraction(hi)
             if not lo < hi:
                 raise ValueError("empty interval")
             slo, shi = poly.sign_at(lo), poly.sign_at(hi)
@@ -59,29 +61,36 @@ class RootBox:
             if slo == shi:
                 raise ValueError("no sign change across the interval")
         self.poly = poly
-        self.lo = lo
-        self.hi = hi
-        self.exact = exact
+        self.ln, self.hn, self.den = _common_den(lo, hi)
 
     @classmethod
-    def _from_signs(cls, poly: IntPoly, lo: Fraction, hi: Fraction,
-                    slo: int, shi: int) -> "RootBox":
-        """Box on (lo, hi) whose caller has already evaluated poly exactly
-        at both endpoints, to the signs slo and shi, and knows that exactly
-        one root lies between them; the signs are not evaluated again."""
-        if not (lo < hi and slo * shi < 0):
-            raise ValueError("no sign change across the interval")
+    def _from_ends(cls, poly: IntPoly, ln: int, hn: int,
+                   den: int) -> "RootBox":
+        """Box on [ln/den, hn/den], den > 0, that its caller has already
+        proved a certificate; poly is not evaluated again."""
         box = object.__new__(cls)
-        box.poly, box.lo, box.hi, box.exact = poly, lo, hi, None
+        box.poly, box.ln, box.hn, box.den = poly, ln, hn, den
         return box
 
     @property
+    def lo(self) -> Fraction:
+        return Fraction(self.ln, self.den)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self.hn, self.den)
+
+    @property
+    def exact(self) -> Optional[Fraction]:
+        return self.lo if self.ln == self.hn else None
+
+    @property
     def width(self) -> Fraction:
-        return self.hi - self.lo
+        return Fraction(self.hn - self.ln, self.den)
 
     @property
     def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
+        return Fraction(self.ln + self.hn, 2 * self.den)
 
     def __repr__(self) -> str:
         if self.exact is not None:
@@ -291,7 +300,10 @@ def isolate_roots(p: IntPoly) -> list[RootBox]:
         if n == 0:
             continue
         if n == 1 and b - a <= 1:
-            boxes.append(RootBox._from_signs(sqf, a, b, at_a[0], at_b[0]))
+            ln, hn, den = _common_den(a, b)
+            if not (ln < hn and at_a[0] * at_b[0] < 0):
+                raise ValueError("no sign change across the interval")
+            boxes.append(RootBox._from_ends(sqf, ln, hn, den))
             continue
         mid = (a + b) / 2
         at_mid = _chain_at(chain, mid)
@@ -352,28 +364,25 @@ def refine(box: RootBox, eps) -> RootBox:
     """Bisect a RootBox until its width is below eps.
 
     A rational midpoint that happens to be the root collapses the box to an
-    exact degenerate certificate.  The bisection runs on integer numerators
-    over one denominator (`_bisect`).
+    exact degenerate certificate.  The bisection runs on the box's own
+    integer ends (`_bisect`).
     """
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if box.exact is not None:
+    ln, hn, den = box.ln, box.hn, box.den
+    if ln == hn:
         return box
     coeffs = box.poly.coeffs
-    ln, hn, den = _common_den(box.lo, box.hi)
     en, ed = eps.numerator, eps.denominator
     # already narrow enough, unless p is linear and collapses to its root
     if len(coeffs) > 2 and (hn - ln) * ed < en * den:
         return box
     s_lo = _sign(_scaled_value(coeffs, ln, den))
-    ln, hn, den = _bisect(coeffs, ln, hn, den, s_lo, en, ed)
-    if ln == hn:
-        mid = Fraction(ln, den)
-        return RootBox(box.poly, mid, mid, exact=mid)
-    # _bisect keeps the sign s_lo at ln and -s_lo at hn
-    return RootBox._from_signs(box.poly, Fraction(ln, den),
-                               Fraction(hn, den), s_lo, -s_lo)
+    # _bisect keeps the sign s_lo at its ln and -s_lo at its hn, or
+    # returns a root exactly as ln == hn
+    return RootBox._from_ends(box.poly,
+                              *_bisect(coeffs, ln, hn, den, s_lo, en, ed))
 
 
 # -- window predicates for cubics x^3 - a*x + b ---------------------------------
@@ -441,9 +450,3 @@ def _scaled_range(coeffs: tuple[int, ...], ln: int, hn: int,
         rhi = max(a, b, cc, d) + c * scale
     return rlo, rhi, scale
 
-
-def _poly_range(p: IntPoly, lo: Fraction, hi: Fraction):
-    """Conservative range of p over [lo, hi] by interval Horner, as
-    Fractions (`_scaled_range` over the endpoints' common denominator)."""
-    rlo, rhi, scale = _scaled_range(p.coeffs, *_common_den(lo, hi))
-    return Fraction(rlo, scale), Fraction(rhi, scale)

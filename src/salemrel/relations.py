@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .polyarith import IntPoly
-from .realroots import _poly_range, refine
+from .realroots import _scaled_range, refine
 from .salemkit import SalemCertificate
 
 MAX_LENGTH_LIMIT = 24
@@ -211,7 +211,7 @@ def _split_groups(boxes, p: IntPoly, q: IntPoly) -> frozenset:
     group_a = set()
     for idx, box in enumerate(boxes):
         while True:
-            lo, hi = _poly_range(r, box.lo, box.hi)
+            lo, hi, _ = _scaled_range(r.coeffs, box.ln, box.hn, box.den)
             if hi < 0 or lo > 0:
                 break
             box = refine(box, box.width / 4)
@@ -299,10 +299,9 @@ def _refine_work(s: int, precision_bits: int) -> int:
 def _integer_ends(boxes):
     """The boxes' endpoints as integer numerators over their common
     denominator: (lo numerators, hi numerators, denominator)."""
-    den = math.lcm(*(e.denominator for b in boxes for e in (b.lo, b.hi)))
-    return ([b.lo.numerator * (den // b.lo.denominator) for b in boxes],
-            [b.hi.numerator * (den // b.hi.denominator) for b in boxes],
-            den)
+    den = math.lcm(*(b.den for b in boxes))
+    return ([b.ln * (den // b.den) for b in boxes],
+            [b.hn * (den // b.den) for b in boxes], den)
 
 
 def _survivors(cert: SalemCertificate, max_sum: int, precision_bits: int):

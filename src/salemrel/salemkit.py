@@ -75,13 +75,12 @@ class ConstructionFailed(RuntimeError):
 
 
 def _confine(box: RootBox, lo: int, hi) -> RootBox:
-    """Refine until the box lies strictly inside (lo, hi); hi may be None."""
-    while True:
-        if box.exact is not None:
-            return box
-        if box.lo > lo and (hi is None or box.hi < hi):
-            return box
+    """Refine until the box lies strictly inside (lo, hi); hi may be None.
+    An exact box is returned as it is."""
+    while box.ln < box.hn and (box.ln <= lo * box.den or (
+            hi is not None and box.hn >= hi * box.den)):
         box = refine(box, box.width / 2)
+    return box
 
 
 def _alpha_box(f: IntPoly, beta1: RootBox) -> RootBox:

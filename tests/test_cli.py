@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -55,8 +57,8 @@ def test_exit_code_verification_failure(capsys, monkeypatch):
     original = cli._HANDLERS["parse"]
 
     def broken(args):
-        input_doc, result, certs, reports, lines, _ = original(args)
-        return input_doc, result, certs, reports, lines, lambda: ["forced failure"]
+        return dataclasses.replace(original(args),
+                                   verify=lambda: ["forced failure"])
 
     monkeypatch.setitem(cli._HANDLERS, "parse", broken)
     assert cli.run(["parse", "x+1", "--verify"]) == 2
@@ -423,6 +425,20 @@ def test_trace_map_commands_capped(capsys, command, at_cap, past_cap):
             "error: reciprocal polynomial degree must be at most 400\n"
 
 
+@pytest.mark.parametrize("command", ["factor", "cyclotomic-factors"])
+def test_factor_commands_capped(capsys, command):
+    # both first sweep the cyclotomic orders, quadratic in the degree;
+    # without the cap cyclotomic-factors x^20000+1 took 51 s
+    assert cli.run([command, "x^3000-1"]) == 0
+    assert "must be at most" not in capsys.readouterr().err
+    for poly in ("x^3001-1", "x^20000+1"):
+        start = time.perf_counter()
+        assert cli.run([command, poly]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == \
+            "error: polynomial degree must be at most 3000\n"
+
+
 def test_relations_screen_capped(capsys):
     # s = 50 betas and sum |m_j| <= 12 would screen about 1.2 * 10^15 vectors
     start = time.perf_counter()
@@ -469,6 +485,28 @@ def test_output_deterministic(capsys):
     cli.run(["enum", "--deg6-trace0", "--json"])
     second = capsys.readouterr().out
     assert first == second
+
+
+def _box_digest(capsys, argvs) -> str:
+    """sha256 of the alpha and beta boxes, exact ends and approx strings,
+    of every certificate the commands print with --json."""
+    boxes = []
+    for argv in argvs:
+        code, doc = _run_json(capsys, argv)
+        assert code == 0
+        boxes.extend([c["alpha"], c["beta_boxes"]]
+                     for c in doc["certificates"])
+    text = json.dumps(boxes, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_certificate_boxes_golden(capsys):
+    # pins the printed box endpoints, which no other test reads in full
+    assert _box_digest(capsys, [["enum", "--deg6-trace0"]]) == (
+        "94eff2efee06474a885659d9ba6c93ce18b7b3f9c40f7d6d16b28a97e40c013a")
+    assert _box_digest(capsys, [["trace0", "--degree", str(d)]
+                                for d in range(6, 101, 2)]) == (
+        "6f4d742f65d6bfdeeff7f034c689168c7fa3bfca8edf74dcf909fc9eba017346")
 
 
 def test_text_mode_lists_certificates(capsys):

@@ -33,7 +33,7 @@ from salemrel.polyarith import (IntPoly, _primitive_prs, _scaled_value,
                                 div_exact, format_poly, poly_gcd,
                                 trace_project)
 from salemrel.realroots import (NEG_INF, POS_INF, RootBox, _chain_at,
-                                _chain_values, _poly_range, _scaled_range,
+                                _chain_values, _common_den, _scaled_range,
                                 _sqf_and_chain, count_roots, isolate_roots,
                                 refine, root_bound, squarefree_part)
 from salemrel.relations import _sum_interval, _survivors
@@ -58,7 +58,7 @@ def test_count_roots_matches_isolation(coeffs):
 
 
 def _fraction_poly_range(p: IntPoly, lo: Fraction, hi: Fraction):
-    """Interval Horner in rationals: the reference for _poly_range."""
+    """Interval Horner in rationals: the reference for _scaled_range."""
     rlo = rhi = Fraction(0)
     for c in reversed(p.coeffs):
         a, b, cc, d = rlo * lo, rlo * hi, rhi * lo, rhi * hi
@@ -77,9 +77,12 @@ _rational = st.builds(Fraction, st.integers(-40, 40),
 # between them these two make each of the four products the min and the max
 @example(IntPoly((5, 2, 1, 7)), Fraction(-4), Fraction(-3, 2))
 @example(IntPoly((-6, -9, 4, -1)), Fraction(1, 2), Fraction(3, 2))
-def test_poly_range_matches_rational_interval_horner(p, a, b):
+def test_scaled_range_matches_rational_interval_horner(p, a, b):
     lo, hi = min(a, b), max(a, b)
-    assert _poly_range(p, lo, hi) == _fraction_poly_range(p, lo, hi)
+    rlo, rhi, scale = _scaled_range(p.coeffs, *_common_den(lo, hi))
+    assert scale > 0
+    assert (Fraction(rlo, scale), Fraction(rhi, scale)) == \
+        _fraction_poly_range(p, lo, hi)
 
 
 def _ceil_gt(x: Fraction) -> int:
@@ -195,6 +198,9 @@ def test_refine_matches_rational_bisection(p, a, b, eps):
     assume(p.sign_at(lo) * p.sign_at(hi) < 0)
     box = refine(RootBox(p, lo, hi), eps)
     assert (box.lo, box.hi, box.exact) == _fraction_refine(p, lo, hi, eps)
+    assert box.den > 0
+    assert Fraction(box.ln, box.den) == box.lo
+    assert Fraction(box.hn, box.den) == box.hi
 
 
 def _family_trace(family: int, d: int) -> IntPoly:

@@ -9,7 +9,7 @@ import pytest
 
 from salemrel.polyarith import IntPoly, pair_sum_trace_poly, trace_lift
 from salemrel import relations
-from salemrel.realroots import RootBox, _poly_range, refine, sqrt_interval
+from salemrel.realroots import RootBox, _scaled_range, refine, sqrt_interval
 from salemrel.relations import (CERTIFIED_PAIRSUM, CERTIFIED_QUADSPLIT,
                                 CERTIFIED_TRACE, NUMERIC_ONLY,
                                 PairingViolation, RelationVector,
@@ -183,10 +183,11 @@ def test_exact_groups_root_the_quadsplit_factor(deg12_cert):
         assert 0 < len(group_a) < len(cert.beta_boxes)
         for idx, box in enumerate(cert.beta_boxes):
             box = refine(box, eps)
-            plo, phi = _poly_range(p, box.lo, box.hi)
-            qlo, qhi = _poly_range(q, box.lo, box.hi)
+            plo, phi, ps = _scaled_range(p.coeffs, box.ln, box.hn, box.den)
+            qlo, qhi, qs = _scaled_range(q.coeffs, box.ln, box.hn, box.den)
             prods = (slo * qlo, slo * qhi, shi * qlo, shi * qhi)
-            encloses = plo + min(prods) <= 0 <= phi + max(prods)
+            encloses = (Fraction(plo, ps) + min(prods) / qs <= 0
+                        <= Fraction(phi, ps) + max(prods) / qs)
             assert encloses == (idx in group_a)
     assert split >= 1
 
