@@ -20,10 +20,10 @@ from typing import Callable, Sequence
 
 from .cyclo import cyclotomic, cyclotomic_part, seq_poly
 from .factorint import factor, kronecker_factor_oracle
-from .parsing import EmptyInput, parse_poly
-from .polyarith import (IntPoly, NotReciprocalError, OddDegreeError,
-                        format_poly, pair_sum_lift, pair_sum_trace_poly,
-                        poly_gcd, trace_lift, trace_project)
+from .parsing import parse_poly
+from .polyarith import (IntPoly, format_poly, pair_sum_lift,
+                        pair_sum_trace_poly, poly_gcd, trace_lift,
+                        trace_project)
 from .realroots import count_roots, refine
 from .relations import NUMERIC_ONLY, _sum_interval, find_relations
 from .salemkit import (FAMILIES, ConstructionFailed, SalemCertificate,
@@ -33,7 +33,7 @@ from .salemkit import (FAMILIES, ConstructionFailed, SalemCertificate,
 _APPROX_NOTE = "approximate (12 significant digits)"
 
 
-class _InputError(Exception):
+class _InputError(ValueError):
     pass
 
 
@@ -651,11 +651,7 @@ def _run(argv) -> int:
     try:
         args = parser.parse_args(argv)
         out = _HANDLERS[args.command](args)
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (EmptyInput, SyntaxError, ValueError,
-            NotReciprocalError, OddDegreeError) as exc:
+    except (SyntaxError, ValueError) as exc:
         msg = getattr(exc, "msg", None) or str(exc)
         print(f"error: {msg}", file=sys.stderr)
         return 1

@@ -93,12 +93,6 @@ class ProgressionSet:
     validated_range: tuple[int, int]
     exhaustive: bool
 
-    def entry(self, order: int) -> ProgressionEntry | None:
-        for e in self.entries:
-            if e.order == order:
-                return e
-        return None
-
 
 @functools.lru_cache(maxsize=None)
 def cyclotomic(n: int) -> IntPoly:
@@ -306,11 +300,7 @@ def cyclotomic_progressions(seq: SalemSeq) -> ProgressionSet:
         phi_l = cyclotomic(order)
         if poly_gcd(seq.f, phi_l).degree >= 1:
             # periodicity hypothesis fails: certify over the bounded range only
-            residues = set()
-            for n in range(lo, hi + 1):
-                g = seq.f.shift_mul(n) + seq.eps * seq.f_reversed
-                if (g % phi_l).is_zero:
-                    residues.add(n % order)
+            residues = _order_divides_members(seq, order, range(lo, hi + 1))
             if residues:
                 entries.append(ProgressionEntry(order, frozenset(residues),
                                                 periodic=False))

@@ -448,19 +448,13 @@ def trace_lift(g: IntPoly) -> IntPoly:
     s = g.degree
     if g.is_zero or s < 1:
         raise ValueError("polynomial of degree >= 1 required")
-    acc = IntPoly()
-    base = IntPoly((1, 0, 1))  # x^2 + 1
-    power = IntPoly.one()
-    # x^s*g(x+1/x) = sum_j g_j x^(s-j) (x^2+1)^j
-    terms = []
-    for j in range(s + 1):
-        if g[j]:
-            terms.append((j, power * g[j]))
-        if j < s:
-            power = power * base
-    for j, t in terms:
-        acc = acc + t.shift_mul(s - j)
-    return acc
+    # Horner in y = x + 1/x: out = x^(s-j) * sum_{i>=j} g_i y^(i-j) steps
+    # from j+1 to j as out <- (x^2 + 1)*out + g_j*x^(s-j)
+    out = [g[s]]
+    for j in range(s - 1, -1, -1):
+        out = [a + b for a, b in zip(out + [0, 0], [0, 0] + out)]
+        out[s - j] += g[j]
+    return IntPoly(out)
 
 
 def trace_project(f: IntPoly) -> IntPoly:
@@ -477,19 +471,19 @@ def trace_project(f: IntPoly) -> IntPoly:
     if deg % 2 == 1:
         raise OddDegreeError(f"degree {deg} is odd")
     s = deg // 2
-    rem = f
-    out = [0] * (s + 1)
-    base = IntPoly((1, 0, 1))
-    powers = [IntPoly.one()]
-    for _ in range(s):
-        powers.append(powers[-1] * base)
-    for j in range(s, -1, -1):
-        c = rem[s + j]
-        out[j] = c
-        if c:
-            rem = rem - (powers[j] * c).shift_mul(s - j)
-    if not rem.is_zero:
-        raise NotReciprocalError("no trace-polynomial preimage exists")
+    # x^-s*f = f_s + sum_{j>=1} f_(s+j) P_j(y) with P_j = x^j + x^-j, which
+    # obeys P_(j+1) = y*P_j - P_(j-1) from P_1 = y, P_2 = y^2 - 2; Clenshaw's
+    # b_j = f_(s+j) + y*b_(j+1) - b_(j+2) gives f_s + y*b_1 - 2*b_2
+    b1, b2 = [], []
+    for j in range(s, 0, -1):
+        b = [0] + b1
+        b[0] += f[s + j]
+        for i, c in enumerate(b2):
+            b[i] -= c
+        b1, b2 = b, b1
+    out = [f[s]] + b1
+    for i, c in enumerate(b2):
+        out[i] -= 2 * c
     return IntPoly(out)
 
 

@@ -214,11 +214,7 @@ def count_roots(p: IntPoly, lo: Point, hi: Point) -> int:
         raise ValueError("nonzero polynomial required")
     a = _as_point(lo, "lo")
     b = _as_point(hi, "hi")
-    fa = isinstance(a, Fraction)
-    fb = isinstance(b, Fraction)
-    if fa and fb and not a < b:
-        raise ValueError("lo < hi required")
-    if (a is POS_INF) or (b is NEG_INF):
+    if not a < b:
         raise ValueError("lo < hi required")
     sqf, chain = _sqf_and_chain(p)
     if sqf.degree < 1:

@@ -215,6 +215,24 @@ def test_progression_structures_per_family():
         assert all(e.periodic for e in ps.entries)
 
 
+def test_progression_of_order_sharing_a_root_with_f():
+    # f = (x^2 - x - 1)*Phi_3: the periodicity argument fails for order 3,
+    # so its residues come from a scan of the validated range only
+    phi3 = cyclotomic(3)
+    f = IntPoly((-1, -1, 1)) * phi3
+    lo, hi = (2, 200)
+    for eps in (1, -1):
+        ps = cyclotomic_progressions(SalemSeq(f, eps))
+        assert not ps.exhaustive
+        assert ps.validated_range == (lo, hi)
+        (entry,) = [e for e in ps.entries if e.order == 3]
+        assert not entry.periodic
+        assert entry.residues == {0, 1, 2}
+        direct = {n % 3 for n in range(lo, hi + 1)
+                  if _divides(phi3, f.shift_mul(n) + eps * f.reciprocal())}
+        assert entry.residues == direct
+
+
 def test_progressions_predict_divisibility_exactly():
     # independent sweep: divisibility happens exactly on the predicted indices
     for fam in FAMILIES:

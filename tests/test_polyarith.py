@@ -129,10 +129,18 @@ def test_poly_gcd_contains_common_factor():
 # -- trace transforms ---------------------------------------------------------------
 
 
+def _random_trace_poly(rng, deg):
+    """Degree deg, leading coefficient in {1, -1, 3, -7}, other coefficients
+    below 10 or below 10**30 in absolute value."""
+    bound = rng.choice((9, 10 ** 30))
+    lc = rng.choice((1, -1, 3, -7))
+    return IntPoly(tuple(rng.randint(-bound, bound) for _ in range(deg)) + (lc,))
+
+
 def test_trace_lift_matches_laurent_oracle():
     rng = random.Random(105)
     for _ in range(500):
-        g = _random_monic(rng, 6)
+        g = _random_trace_poly(rng, rng.randrange(1, 61))
         assert trace_lift(g) == _laurent_trace_lift(g)
 
 
@@ -143,14 +151,17 @@ def test_trace_lift_known_values():
     assert trace_lift(IntPoly((-7, -7, 0, 1))).coeffs == (1, 0, -4, -7, -4, 0, 1)
 
 
-def test_trace_roundtrip_random_monic():
+def test_trace_roundtrip_random():
     rng = random.Random(106)
-    for _ in range(1000):
-        g = _random_monic(rng, 8)
+    for i in range(1000):
+        g = _random_trace_poly(rng, 1 + i % 60)  # every s in 1..60
         f = trace_lift(g)
         assert f.degree == 2 * g.degree
         assert f.reciprocal() == f
         assert trace_project(f) == g
+    # s = 0: a nonzero constant is its own projection
+    for c in (1, -7, 10 ** 30):
+        assert trace_project(IntPoly((c,))) == IntPoly((c,))
 
 
 def test_trace_project_errors():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -80,8 +81,10 @@ def test_count_roots_endpoint_is_root():
         count_roots(p, 1, 3)
     with pytest.raises(EndpointIsRootError):
         count_roots(p, -3, -1)
-    with pytest.raises(ValueError):
-        count_roots(p, 2, 2)
+    for lo, hi in ((2, 2), (3, 1), (math.inf, None), (None, -math.inf),
+                   (5, -math.inf)):
+        with pytest.raises(ValueError, match="lo < hi required"):
+            count_roots(p, lo, hi)
 
 
 # -- isolation and refinement --------------------------------------------------------
