@@ -120,7 +120,7 @@ def _kron_mul(a, b):
     and no slot carries into the next.  Slots of up to 64 bits are rounded
     up to 1, 2, 4 or 8 bytes and packed and unpacked by struct in C; wider
     ones by shift loops.  A one-coefficient operand is a plain scalar
-    multiply.  The result is not trimmed.
+    multiply, an all-zero one gives zeros.  The result is not trimmed.
     """
     if not a or not b:
         return []
@@ -132,6 +132,8 @@ def _kron_mul(a, b):
         return [c * x for x in a]
     n = len(a) + len(b) - 1
     w = (max(a) * max(b) * min(len(a), len(b))).bit_length()
+    if w == 0:
+        return [0] * n
     if w <= 64:
         nb = 1 << ((w - 1) // 8).bit_length()
         fmt = "<%d" + _SLOT_CODES[nb]

@@ -3,13 +3,14 @@
 A relation assigns an integer k_i to each conjugate alpha_i so that
 sum k_i*alpha_i = 0.  For a Salem number the conjugates pair up as
 (alpha, 1/alpha) and unit-circle pairs, each pair summing to a root beta_j of
-the trace polynomial; any relation must weight both members of a pair equally,
-so the search happens on reduced vectors (m_1..m_s) against the beta boxes
-and a candidate is only reported as proved when one of three exact patterns
-applies: the trace is zero and the vector is constant; the trace polynomial
-is h(x(1-x)) up to sign, pairing the betas into two-term sums of 1; or the
-trace polynomial splits as p^2 - m*q^2, making each factor's root group sum
-to zero.  Everything else stays labelled numeric_only.
+the trace polynomial g; any relation must weight both members of a pair
+equally, so the search happens on reduced vectors (m_1..m_s) against the beta
+boxes and a candidate is only reported as proved by an exact identity: the
+trace is zero and the vector is constant; g(c - x) = g(x), c = 2*trace/s,
+pairs the betas into sums of c; or the vector's two value classes root the
+factors p +- sqrt(m)*q of g = p^2 - m*q^2, each with root sum 0, and the
+witness 2p, read off products of the beta boxes without search bounds, is
+checked in integers.  Everything else stays labelled numeric_only.
 
 Screening is exact integer arithmetic: the beta boxes are refined once, their
 endpoints written as integers over one common denominator, and a single walk
@@ -21,7 +22,6 @@ interval sums.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,9 +53,6 @@ CERTIFIED_TRACE = "certified_trace"
 CERTIFIED_PAIRSUM = "certified_pairsum"
 CERTIFIED_QUADSPLIT = "certified_quadsplit"
 NUMERIC_ONLY = "numeric_only"
-
-_QUADSPLIT_M = (2, 3, 5, 6, 7, 10)  # positive squarefree m <= 10
-_QUADSPLIT_COEFF = 64
 
 
 class PairingViolation(ValueError):
@@ -153,53 +150,8 @@ def _poly_sqrt(r: IntPoly):
     return cand
 
 
-def _find_quadsplit(g: IntPoly):
-    """(p, q, m) with g = p^2 - m*q^2, p monic of half degree with zero
-    subleading coefficient, within the documented search bounds; or None.
-
-    The three top coefficients of p are forced by g; any remaining low
-    coefficients are swept over the bounded box.
-    """
-    K = g.degree // 2
-    if g.degree % 2 or K < 2 or g[2 * K - 1] != 0:
-        return None  # p's subleading coefficient could not be zero
-    # with p = x^K + a*x^(K-2) + b*x^(K-3) + ..., g = p^2 - m*q^2 has
-    # coefficients 2a at x^(2K-2) and 2b at x^(2K-3), since deg q <= K-2
-    forced = {K - 1: 0}
-    for i in range(max(K - 3, 0), K - 1):
-        if g[K + i] % 2:
-            return None
-        forced[i] = g[K + i] // 2
-    free_idx = [i for i in range(K - 1, -1, -1) if i not in forced]
-    if len(free_idx) > 2:
-        return None  # sweep grows as 129^free; stay at desk scale
-    if any(abs(c) > _QUADSPLIT_COEFF for c in forced.values()):
-        return None
-    coeffs = [0] * K + [1]
-    for i, c in forced.items():
-        coeffs[i] = c
-    span = range(-_QUADSPLIT_COEFF, _QUADSPLIT_COEFF + 1)
-    for vals in itertools.product(span, repeat=len(free_idx)):
-        for i, c in zip(free_idx, vals):
-            coeffs[i] = c
-        p = IntPoly(tuple(coeffs))
-        r = p * p - g
-        if r.is_zero or r.degree > 2 * K - 4:
-            continue
-        for m in _QUADSPLIT_M:
-            if any(c % m for c in r.coeffs):
-                continue
-            q = _poly_sqrt(IntPoly(tuple(c // m for c in r.coeffs)))
-            if q is None:
-                continue
-            if any(abs(c) > _QUADSPLIT_COEFF for c in q.coeffs):
-                continue
-            return p, q, m
-    return None
-
-
 def _split_groups(boxes, p: IntPoly, q: IntPoly) -> frozenset:
-    """Indices of the betas rooting p + sqrt(m)*q, where g = p^2 - m*q^2.
+    """Indices of the betas rooting p + sqrt(m)*q, where 4g = p^2 - m*q^2.
 
     At a root of p + sqrt(m)*q the product p*q equals -sqrt(m)*q^2 < 0, and
     at a root of p - sqrt(m)*q it equals +sqrt(m)*q^2 > 0.  It never vanishes
@@ -220,49 +172,89 @@ def _split_groups(boxes, p: IntPoly, q: IntPoly) -> frozenset:
     return frozenset(group_a)
 
 
-@dataclass(frozen=True)
-class _CertStructures:
-    pairing: tuple[tuple[int, int], ...] | None  # index pairs with sum 1
-    group_a: frozenset | None  # betas rooting p + sqrt(m)*q
+def _pairs_sum_to_constant(cert: SalemCertificate) -> bool:
+    """True when beta_i + beta_(s-1-i) = c for every i, c = 2*trace/s.
 
-
-def _structures(cert: SalemCertificate) -> _CertStructures:
+    If g(c - x) = g(x), x -> c - x permutes the roots of g, reversing their
+    descending order.  Then trace = s*c/2, and c, a rational pair sum of
+    algebraic integers, is an integer; no other c needs testing."""
+    c, rem = divmod(2 * cert.trace, len(cert.beta_boxes))
     g = cert.trace_poly
-    pairing = None
-    if g.compose(IntPoly((1, -1))) == g:
-        # g(1 - x) = g(x), so x -> 1 - x maps the roots of g onto themselves
-        # and reverses their order; beta_boxes is descending, so
-        # beta_i + beta_(s-1-i) = 1.  No beta is the fixed point 1/2,
-        # because g is irreducible of degree >= 2.  For monic g this is the
-        # pair-sum form g = +-h(x - x^2) with h monic: g lies in Q[x - x^2],
-        # and peeling off powers of x - x^2 (leading coefficient -1) keeps
-        # every coefficient integral.
-        s = len(cert.beta_boxes)
-        pairing = tuple((i, s - 1 - i) for i in range(s // 2))
-    group_a = None
-    quad = _find_quadsplit(g)
-    if quad is not None:
-        p, q, _ = quad
-        group_a = _split_groups(cert.beta_boxes, p, q)
-    return _CertStructures(pairing, group_a)
+    return rem == 0 and g.compose(IntPoly((c, -1))) == g
 
 
-def _certify_reduced(cert: SalemCertificate, reduced, st: _CertStructures) -> str:
+def _product_range(ends, den):
+    """Integer enclosures (lo, hi), ascending, of the coefficients of
+    den^k * prod (x - beta) over k boxes [ln/den, hn/den] given as (ln, hn)."""
+    lo, hi = [1], [1]
+    for ln, hn in ends:
+        nlo = [0] + [den * c for c in lo]
+        nhi = [0] + [den * c for c in hi]
+        for j, (a, b) in enumerate(zip(lo, hi)):
+            t = (-ln * a, -ln * b, -hn * a, -hn * b)
+            nlo[j] += min(t)
+            nhi[j] += max(t)
+        lo, hi = nlo, nhi
+    return lo, hi
+
+
+def _factor_sum(boxes, group):
+    """P_A + P_B, P_A = prod (x - beta_i) over the betas in group and P_B
+    over as many others, read off interval products of the boxes, which are
+    refined until every coefficient enclosure is narrower than 1; or None
+    when an enclosure holds no integer."""
+    bits = 32
+    while True:
+        lo, hi, den = _integer_ends(boxes)
+        (la, ha), (lb, hb) = (
+            _product_range([(lo[i], hi[i]) for i in range(len(boxes))
+                            if (i in group) == side], den)
+            for side in (True, False))
+        scale = den ** len(group)
+        sums = [(l1 + l2, h1 + h2) for l1, l2, h1, h2 in zip(la, lb, ha, hb)]
+        if all(h - l < scale for l, h in sums):
+            break
+        bits *= 2
+        boxes = [refine(b, Fraction(1, 1 << bits)) for b in boxes]
+    coeffs = [-(-l // scale) for l, _ in sums]
+    if any(c * scale > h for c, (_, h) in zip(coeffs, sums)):
+        return None
+    return IntPoly(coeffs)
+
+
+def _splits_along(cert: SalemCertificate, group: frozenset) -> bool:
+    """True when the betas in group, and the K = s/2 others, each sum to 0.
+
+    With r = (2p)^2 - 4g, the checks (2p)_(K-1) = 0, deg r <= 2K - 4 and
+    r = m*S^2 (m the content of r; _poly_sqrt wants lc > 0) prove
+    g = (p - sqrt(m)*S/2)*(p + sqrt(m)*S/2), each factor monic of degree K
+    with no x^(K-1) term; _split_groups names the roots of one of them."""
+    boxes = cert.beta_boxes
+    k = len(boxes) // 2
+    p2 = _factor_sum(boxes, group)
+    if p2 is None or p2[k - 1] != 0:
+        return False
+    r = p2 * p2 - 4 * cert.trace_poly
+    root = _poly_sqrt(r.primitive_part())
+    if r.degree > 2 * k - 4 or root is None:
+        return False
+    half = _split_groups(boxes, p2, root)
+    return half in (group, frozenset(range(len(boxes))) - group)
+
+
+def _certify_reduced(cert: SalemCertificate, reduced) -> str:
     if all(c == reduced[0] for c in reduced):
-        if cert.trace == 0:
-            return CERTIFIED_TRACE
-        return NUMERIC_ONLY
-    if st.pairing is not None:
-        if (all(reduced[i] == reduced[j] for i, j in st.pairing)
-                and sum(reduced[i] for i, _ in st.pairing) == 0):
-            return CERTIFIED_PAIRSUM
-    if st.group_a is not None:
-        a = st.group_a
-        b = [i for i in range(len(reduced)) if i not in a]
-        vals_a = {reduced[i] for i in a}
-        vals_b = {reduced[i] for i in b}
-        if len(vals_a) == 1 and len(vals_b) == 1:
-            return CERTIFIED_QUADSPLIT
+        return CERTIFIED_TRACE if cert.trace == 0 else NUMERIC_ONLY
+    s = len(reduced)
+    # with the betas in pairs summing to c, a palindromic vector sums to c
+    # times the sum of its first half
+    if (all(reduced[i] == reduced[s - 1 - i] for i in range(s // 2))
+            and sum(reduced[:s // 2]) == 0 and _pairs_sum_to_constant(cert)):
+        return CERTIFIED_PAIRSUM
+    group = frozenset(i for i, c in enumerate(reduced) if c == reduced[0])
+    if (len(set(reduced)) == 2 and 2 * len(group) == s
+            and _splits_along(cert, group)):
+        return CERTIFIED_QUADSPLIT
     return NUMERIC_ONLY
 
 
@@ -271,7 +263,9 @@ def certify(cert: SalemCertificate, reduced) -> str:
     reduced = tuple(int(c) for c in reduced)
     if len(reduced) != len(cert.beta_boxes):
         raise ValueError("reduced vector must have one entry per beta")
-    return _certify_reduced(cert, reduced, _structures(cert))
+    if not any(reduced):
+        raise ValueError("reduced vector must have a nonzero entry")
+    return _certify_reduced(cert, reduced)
 
 
 # -- screening search ---------------------------------------------------------------
@@ -386,12 +380,9 @@ def find_relations(cert: SalemCertificate, max_length: int,
     if not 1 <= precision_bits <= _MAX_PRECISION_BITS:
         raise ValueError(
             f"precision_bits must be in [1, {_MAX_PRECISION_BITS}]")
-    st = None
     reports = []
     for reduced in _survivors(cert, max_length // 2, precision_bits):
-        if st is None:
-            st = _structures(cert)
-        status = _certify_reduced(cert, reduced, st)
+        status = _certify_reduced(cert, reduced)
         nontrivial = not all(c == reduced[0] for c in reduced)
         reports.append(RelationReport(vector=_interleave(reduced),
                                       reduced=reduced,

@@ -19,6 +19,8 @@ from salemrel.salemkit import (ConstructionFailed, enum_deg6_trace0,
 
 DEG8 = "x^8-2x^7+x^6-2x^5+x^4-2x^3+x^2-2x+1"
 DEG12 = "x^12-4x^10-6x^9-2x^8+4x^7+7x^6+4x^5-2x^4-6x^3-4x^2+1"
+# trace lift of h(2x - x^2) with h = u^2 + 2u - 1: its betas pair into sums 2
+LIFT = "x^8-4x^7+6x^6-8x^5+9x^4-8x^3+6x^2-4x+1"
 
 
 def _run_json(capsys, argv):
@@ -348,6 +350,21 @@ def test_relations_command(capsys):
 
     assert cli.run(["relations", DEG8, "--max-length", "8", "--verify"]) == 0
     capsys.readouterr()
+
+
+def test_relations_verify_on_quadsplit_and_lift(capsys):
+    for poly, expected in (
+            (DEG12, ["reduced (0, 1, 1, 0, 0, 1)  length 6  nontrivial  "
+                     "certified_quadsplit",
+                     "reduced (1, 0, 0, 1, 1, 0)  length 6  nontrivial  "
+                     "certified_quadsplit"]),
+            (LIFT, ["reduced (1, -1, -1, 1)  length 8  nontrivial  "
+                    "certified_pairsum"])):
+        assert cli.run(["relations", poly, "--max-length", "8",
+                        "--verify"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines() == expected + [
+            "verified: all cross-checks passed"]
 
 
 def test_relations_verify_refines_only_for_certified_reports(capsys,

@@ -609,6 +609,7 @@ def test_slot_codes_have_their_size():
 @example(([], [3, 4]))
 @example(([5], [2 ** 70, 3]))
 @example(([0, 0, 0], [9, 9]))
+@example(([0, 0], [2 ** 40, 5]))
 def test_kron_mul_matches_schoolbook(case):
     a, b = case
     assert _kron_mul(a, b) == _school_product(a, b)

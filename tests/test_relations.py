@@ -7,15 +7,18 @@ from types import SimpleNamespace
 
 import pytest
 
-from salemrel.polyarith import IntPoly, pair_sum_trace_poly, trace_lift
+from salemrel.polyarith import (IntPoly, norm_form, pair_sum_trace_poly,
+                                trace_lift)
 from salemrel import relations
-from salemrel.realroots import RootBox, _scaled_range, refine, sqrt_interval
+from salemrel.realroots import (RootBox, _scaled_range, isolate_roots, refine,
+                                sqrt_interval)
 from salemrel.relations import (CERTIFIED_PAIRSUM, CERTIFIED_QUADSPLIT,
                                 CERTIFIED_TRACE, NUMERIC_ONLY,
                                 PairingViolation, RelationVector,
-                                _find_quadsplit, _screen_size, _structures,
-                                _survivors, certify, find_relations,
-                                min_length_scan, pair_reduce)
+                                _factor_sum, _pairs_sum_to_constant,
+                                _poly_sqrt, _screen_size, _split_groups,
+                                _splits_along, _survivors, certify,
+                                find_relations, min_length_scan, pair_reduce)
 from salemrel.salemkit import (pair_sum_enum, salem_check, trace0_salem,
                                window_poly_search)
 
@@ -114,6 +117,27 @@ def test_certify_statuses(deg8_cert, deg12_cert):
         certify(deg8_cert, (1, -1, -1))
 
 
+def test_certify_refuses_vectors_near_a_pattern(deg8_cert, deg12_cert):
+    # the pairs of deg8 sum to 1: (1, -1, 0, 0) is not palindromic, and
+    # (1, 0, 0, 1) has first half summing to 1, not 0
+    assert certify(deg8_cert, (1, -1, 0, 0)) == NUMERIC_ONLY
+    assert certify(deg8_cert, (1, 0, 0, 1)) == NUMERIC_ONLY
+    # {0, 3, 4} is a root group of deg12, but these vectors are not
+    # constant on it and on its complement
+    assert certify(deg12_cert, (1, 2, 0, 1, 1, 0)) == NUMERIC_ONLY
+    assert certify(deg12_cert, (1, 0, 0, 1, 0, 0)) == NUMERIC_ONLY
+
+
+def test_quadsplit_witness_must_name_the_group(deg12_cert, monkeypatch):
+    # the witness of the group {0, 3, 4} passes every identity check, so
+    # only the roots it names refuse it for another group
+    witness = _factor_sum(deg12_cert.beta_boxes, frozenset((0, 3, 4)))
+    monkeypatch.setattr(relations, "_factor_sum", lambda boxes, group: witness)
+    assert _splits_along(deg12_cert, frozenset((0, 3, 4)))
+    assert _splits_along(deg12_cert, frozenset((1, 2, 5)))
+    assert not _splits_along(deg12_cert, frozenset((0, 1, 2)))
+
+
 def test_certify_trace_on_sextics(sextic_certs):
     for cert in sextic_certs:
         assert certify(cert, (1, 1, 1)) == CERTIFIED_TRACE
@@ -125,6 +149,13 @@ def test_certify_trace_poly_without_window_form():
     assert cert
     assert certify(cert, (1, 1)) == NUMERIC_ONLY
     assert certify(cert, (1, -1)) == NUMERIC_ONLY
+
+
+def test_certify_rejects_the_zero_vector(deg8_cert, deg12_cert):
+    for cert in (deg8_cert, deg12_cert):
+        with pytest.raises(ValueError,
+                           match="reduced vector must have a nonzero entry"):
+            certify(cert, (0,) * len(cert.beta_boxes))
 
 
 def test_pairing_is_the_one_minus_x_symmetry():
@@ -143,7 +174,7 @@ def test_pairing_is_the_one_minus_x_symmetry():
     # no trace-zero member has the pairing; the pair-sum certificates and
     # the norm-form one are checked in the next test
     for d in range(6, 31, 2):
-        assert _structures(trace0_salem(d)).pairing is None
+        assert not _pairs_sum_to_constant(trace0_salem(d))
 
 
 def _structure_certs(deg12_cert):
@@ -151,45 +182,171 @@ def _structure_certs(deg12_cert):
             + [(deg12_cert, False)])
 
 
+def _assert_pairs_sum_to(cert, c):
+    # beta_i + beta_(s-1-i) = c on 2^-100 boxes
+    eps = Fraction(1, 1 << 100)
+    boxes = [refine(b, eps) for b in cert.beta_boxes]
+    s = len(boxes)
+    for i in range(s // 2):
+        j = s - 1 - i
+        assert boxes[i].lo + boxes[j].lo <= c <= boxes[i].hi + boxes[j].hi
+
+
 def test_exact_pairing_sums_to_one_on_refined_boxes(deg12_cert):
     # the pairing is read off the order of the betas; 2^-100 boxes confirm it
-    eps = Fraction(1, 1 << 100)
     for cert, has_pairing in _structure_certs(deg12_cert):
-        pairing = _structures(cert).pairing
-        assert (pairing is not None) == has_pairing
-        if pairing is None:
-            continue
-        s = len(cert.beta_boxes)
-        assert sorted(i for pair in pairing for i in pair) == list(range(s))
-        boxes = [refine(b, eps) for b in cert.beta_boxes]
-        for i, j in pairing:
-            assert boxes[i].lo + boxes[j].lo <= 1 <= boxes[i].hi + boxes[j].hi
+        assert _pairs_sum_to_constant(cert) == has_pairing
+        if has_pairing:
+            assert 2 * cert.trace == len(cert.beta_boxes)  # c = 1
+            _assert_pairs_sum_to(cert, 1)
+
+
+# the degree-16 norm forms p^2 - m*q^2 that are Salem trace polynomials,
+# with the two reports find_relations(cert, 8) gives each
+_NORM_FORMS_16 = (
+    (2, (3, -3, -6, 0, 1), (0, 2, 1),
+     ((0, 1, 1, 0, 1, 0, 0, 1), (1, 0, 0, 1, 0, 1, 1, 0))),
+    (2, (1, -2, -5, 0, 1), (0, 2, 1),
+     ((0, 1, 1, 0, 1, 0, 0, 1), (1, 0, 0, 1, 0, 1, 1, 0))),
+    (2, (3, -1, -5, 0, 1), (-2, 1, 1),
+     ((0, 1, 0, 1, 1, 0, 0, 1), (1, 0, 1, 0, 0, 1, 1, 0))),
+    (2, (1, -1, -4, 0, 1), (0, 1, 1),
+     ((0, 1, 1, 0, 1, 0, 1, 0), (1, 0, 0, 1, 0, 1, 0, 1))),
+    (3, (2, -4, -6, 0, 1), (1, 2, 1),
+     ((0, 1, 1, 0, 0, 1, 1, 0), (1, 0, 0, 1, 1, 0, 0, 1))),
+    (3, (2, -2, -5, 0, 1), (-1, 1, 1),
+     ((0, 1, 0, 1, 1, 0, 1, 0), (1, 0, 1, 0, 0, 1, 0, 1))),
+)
+
+
+def _norm_form_certs():
+    certs = [salem_check(trace_lift(norm_form(IntPoly(p), IntPoly(q), m)))
+             for m, p, q, _ in _NORM_FORMS_16]
+    assert all(certs)
+    return certs
 
 
 def test_exact_groups_root_the_quadsplit_factor(deg12_cert):
-    # group A is read off the sign of p*q; p + sqrt(m)*q must vanish on
-    # exactly those 2^-100 boxes
+    # over every split of the betas into two halves, the certifier accepts
+    # exactly the norm-form groups, and 2p + sqrt(m)*S, the factor
+    # _split_groups names, must vanish on exactly that half's 2^-100 boxes
     eps = Fraction(1, 1 << 100)
     split = 0
-    for cert, _ in _structure_certs(deg12_cert):
-        group_a = _structures(cert).group_a
-        quad = _find_quadsplit(cert.trace_poly)
-        assert (group_a is None) == (quad is None)
-        if quad is None:
-            continue
-        split += 1
-        p, q, m = quad
-        slo, shi = sqrt_interval(m, m, 200)
-        assert 0 < len(group_a) < len(cert.beta_boxes)
-        for idx, box in enumerate(cert.beta_boxes):
-            box = refine(box, eps)
-            plo, phi, ps = _scaled_range(p.coeffs, box.ln, box.hn, box.den)
-            qlo, qhi, qs = _scaled_range(q.coeffs, box.ln, box.hn, box.den)
-            prods = (slo * qlo, slo * qhi, shi * qlo, shi * qhi)
-            encloses = (Fraction(plo, ps) + min(prods) / qs <= 0
-                        <= Fraction(phi, ps) + max(prods) / qs)
-            assert encloses == (idx in group_a)
-    assert split >= 1
+    certs = [c for c, _ in _structure_certs(deg12_cert)] + _norm_form_certs()
+    for cert in certs:
+        s = len(cert.beta_boxes)
+        for rest in itertools.combinations(range(1, s), s // 2 - 1):
+            group = frozenset((0, *rest))
+            if not _splits_along(cert, group):
+                continue
+            split += 1
+            p2 = _factor_sum(cert.beta_boxes, group)
+            r = p2 * p2 - 4 * cert.trace_poly
+            m = r.content()
+            q = _poly_sqrt(r.primitive_part())
+            half = _split_groups(cert.beta_boxes, p2, q)
+            assert half in (group, frozenset(range(s)) - group)
+            slo, shi = sqrt_interval(m, m, 200)
+            for idx, box in enumerate(cert.beta_boxes):
+                box = refine(box, eps)
+                plo, phi, ps = _scaled_range(p2.coeffs, box.ln, box.hn,
+                                             box.den)
+                qlo, qhi, qs = _scaled_range(q.coeffs, box.ln, box.hn,
+                                             box.den)
+                prods = (slo * qlo, slo * qhi, shi * qlo, shi * qhi)
+                encloses = (Fraction(plo, ps) + min(prods) / qs <= 0
+                            <= Fraction(phi, ps) + max(prods) / qs)
+                assert encloses == (idx in half)
+    # deg12 and each degree-16 norm form split one way; no pair-sum
+    # certificate splits
+    assert split == 1 + len(_NORM_FORMS_16)
+
+
+def test_degree16_norm_form_reports_pinned():
+    for cert, (_, _, _, pinned) in zip(_norm_form_certs(), _NORM_FORMS_16):
+        reports = find_relations(cert, max_length=8)
+        assert tuple(r.reduced for r in reports) == pinned
+        for r in reports:
+            assert r.nontrivial and r.status == CERTIFIED_QUADSPLIT
+            assert r.vector.length == 8 and r.precision_bits == 64
+
+
+def _lift_certs():
+    """The Salem trace lifts of h(2x - x^2), h = u^2 + a*u + b."""
+    certs = [salem_check(trace_lift(IntPoly((b, a, 1)).compose(
+        IntPoly((0, 2, -1))))) for a in range(2, 8) for b in (-1, -2, -3)]
+    return [c for c in certs if c]
+
+
+def test_lifts_of_h_of_2x_minus_x2_certified_pairsum():
+    # g(x) = h(2x - x^2) is fixed by x -> 2 - x, so the betas pair into
+    # sums of c = 2 and (1, -1, -1, 1) is a relation
+    certs = _lift_certs()
+    assert len(certs) == 16
+    for cert in certs:
+        assert cert.trace == 4 and _pairs_sum_to_constant(cert)
+        _assert_pairs_sum_to(cert, 2)
+        reports = find_relations(cert, max_length=8)
+        assert [(r.reduced, r.status) for r in reports] == [
+            ((1, -1, -1, 1), CERTIFIED_PAIRSUM)]
+
+
+def test_poly_sqrt_inverts_squaring():
+    rng = random.Random(2002)
+    for _ in range(300):
+        q = IntPoly([rng.randint(-30, 30) for _ in range(rng.randint(0, 7))]
+                    + [rng.choice((1, -1, 2, -3))])
+        root = q if q.lc > 0 else -q
+        assert _poly_sqrt(q * q) == root
+        assert _poly_sqrt(4 * q * q) == 2 * root
+        assert _poly_sqrt(q * q + IntPoly((1,))) is None
+        assert _poly_sqrt(-(q * q)) is None
+        assert _poly_sqrt(2 * q * q) is None
+
+
+def _built_split(u, v):
+    """A stand-in certificate for g = P_A*P_B, P_A with roots
+    u_i + v_i*sqrt(11) and P_B with roots u_i - v_i*sqrt(11), and the
+    indices of P_A's roots among the descending betas."""
+    g = IntPoly((1,))
+    for a, b in zip(u, v):
+        g = g * IntPoly((a * a - 11 * b * b, -2 * a, 1))
+    boxes = isolate_roots(g)[::-1]
+    assert len(boxes) == g.degree
+    # 2^-40 boxes tell the roots apart in floating point
+    fine = [refine(b, Fraction(1, 1 << 40)) for b in boxes]
+    group_a = {i for i, box in enumerate(fine) for a, b in zip(u, v)
+               if box.lo < a + b * math.sqrt(11) < box.hi}
+    assert len(group_a) == len(u)
+    return SimpleNamespace(trace=-g[g.degree - 1], trace_poly=g,
+                           beta_boxes=tuple(boxes)), group_a
+
+
+def test_quadsplit_without_search_bounds():
+    # K = 6 and m = 11, past any coefficient sweep over small m and K
+    cert, group_a = _built_split((5, -3, 1, -4, 2, -1), (1, 2, -1, -3, 2, -1))
+    s = len(cert.beta_boxes)
+    half = tuple(int(i in group_a) for i in range(s))
+    assert certify(cert, half) == CERTIFIED_QUADSPLIT
+    assert certify(cert, tuple(3 * c - 1 for c in half)) == CERTIFIED_QUADSPLIT
+    # a wrong half is refused
+    a, b = min(group_a), min(set(range(s)) - group_a)
+    wrong = list(half)
+    wrong[a], wrong[b] = 0, 1
+    assert certify(cert, tuple(wrong)) == NUMERIC_ONLY
+
+
+def test_quadsplit_needs_zero_root_sums():
+    # p + sqrt(11)*q with sum u = 1 has root sum 1, so (2p)_(K-1) != 0
+    cert, group_a = _built_split((5, -3, 1, -4, 2, 0), (1, 2, -1, -3, 2, -1))
+    half = tuple(int(i in group_a) for i in range(len(cert.beta_boxes)))
+    assert certify(cert, half) == NUMERIC_ONLY
+    # g depends on v only through v^2, so flipping the last v keeps g and
+    # moves -1 + sqrt(11) into the half; that half has root sum
+    # 2*sqrt(11), and since deg q = K - 1, deg((2p)^2 - 4g) = 2K - 2
+    cert, group_a = _built_split((5, -3, 1, -4, 2, -1), (1, 2, -1, -3, 2, 1))
+    half = tuple(int(i in group_a) for i in range(len(cert.beta_boxes)))
+    assert certify(cert, half) == NUMERIC_ONLY
 
 
 # -- relation search ----------------------------------------------------------------------
