@@ -176,7 +176,11 @@ def _verify_certificate(cert: SalemCertificate) -> list[str]:
     if f.sign_at(cert.alpha.lo) * f.sign_at(cert.alpha.hi) >= 0:
         fails.append("alpha box does not bracket a sign change of minpoly")
     # certification decides irreducibility by Kronecker's theorem; the full
-    # factorization is an independent check of it at every degree
+    # factorization is an independent check of it at every degree.  factor
+    # skips its modular pipeline, by the same kind of argument, only on a
+    # part that is monic, reciprocal and of even degree; no trace polynomial
+    # certified by trace0 6..100, enum --deg6-trace0 or --lemma4 2..4 is one
+    # (a test pins this), so there this check does not reuse the argument
     fac = factor(g)
     if abs(fac.content) != 1 or [m for _, m in fac.factors] != [1]:
         fails.append("trace polynomial is not irreducible")

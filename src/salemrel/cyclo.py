@@ -11,6 +11,8 @@ sporadic index where (x-1)^2 appears).
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -111,22 +113,31 @@ def _orders_up_to(deg: int) -> list[tuple[int, int]]:
 
     Each l is built prime power by prime power over increasing primes, with
     totient(p**e) = (p - 1) * p**(e - 1); a prime p can only occur when
-    p - 1 <= deg.
+    p - 1 <= deg.  Those primes come from one sieve of Eratosthenes.  An l
+    recurses only when the next prime could still extend it.
     """
     if deg < 1:
         return []
-    primes = [p for p in range(2, deg + 2) if _is_prime(p)]
-    out = []
+    sieve = bytearray([1]) * (deg + 2)
+    sieve[:2] = b"\0\0"
+    for i in range(2, math.isqrt(deg + 1) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, deg + 2, i)))
+    # deg + 2 closes the list: no totient times deg + 1 is <= deg
+    primes = list(itertools.compress(range(deg + 2), sieve)) + [deg + 2]
+    out = [(1, 1)]
 
     def extend(l, phi, start):
-        out.append((l, phi))
-        for i in range(start, len(primes)):
+        for i in range(start, len(primes) - 1):
             p = primes[i]
             pe, phe = p, phi * (p - 1)
             if phe > deg:
                 return
+            nxt = primes[i + 1] - 1
             while phe <= deg:
-                extend(l * pe, phe, i + 1)
+                out.append((l * pe, phe))
+                if phe * nxt <= deg:
+                    extend(l * pe, phe, i + 1)
                 pe *= p
                 phe *= p
 

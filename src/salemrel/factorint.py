@@ -7,6 +7,29 @@ modulo a well-chosen small prime, quadratic multifactor Hensel lifting past
 a Mignotte-style coefficient bound, and subset recombination, which divides
 only by candidates within that bound.  `kronecker_factor_oracle` is an
 independent interpolation-based method kept for cross-checking in tests.
+
+Before the pipeline, a squarefree part f of the cofactor is emitted as one
+irreducible factor, with no prime chosen and nothing lifted, when its root
+placement proves it irreducible (`_placed_irreducible`): f is monic,
+reciprocal and of degree 2s, and g = trace_project(f) is squarefree (its
+Sturm chain ends in a constant), g(-2) and g(2) are nonzero, and g has s - 1
+roots in (-2, 2) and one in (2, oo).  The Salem polynomials of the paper's
+families pass it once their cyclotomic factors are off.
+
+Proof.  g has s simple real roots, and f = x^s g(x + 1/x) is the product of
+the x^2 - t x + 1 over them: each root t in (-2, 2) gives two roots of f on
+the unit circle, and the root beyond 2 gives alpha > 1 and 1/alpha.  The
+cofactor has no cyclotomic factor, because the sweep tests every order
+whose totient is at most its degree.  Suppose f = h k with h, k monic
+integer polynomials of positive degree.  If one of them holds both alpha
+and 1/alpha, the other has all its roots on the unit circle, so by
+Kronecker's theorem it is a product of cyclotomic polynomials, which the
+sweep rules out.  Otherwise the factor holding alpha has all its other
+roots on the unit circle, so its constant term is +-alpha, which is not an
+integer: 1/alpha is a root of the monic f, so an algebraic integer, and not
+in Z.  So f is irreducible (Kronecker, J. reine angew. Math. 53, 1857;
+Smyth, "Seventy years of Salem numbers", Bull. LMS 47, 2015).  Every other
+part goes through the modular pipeline unchanged.
 """
 
 from __future__ import annotations
@@ -20,7 +43,8 @@ from fractions import Fraction
 
 from .cyclo import _cyclotomic_split, cyclotomic
 from .polyarith import (IntPoly, _divisors, _is_prime, _signed_content,
-                        div_exact, poly_gcd)
+                        div_exact, poly_gcd, trace_project)
+from .realroots import POS_INF, _chain_at, _sturm_chain
 
 
 class DegreeTooLargeError(ValueError):
@@ -465,6 +489,23 @@ def _factor_monic_squarefree(f: IntPoly) -> list[IntPoly]:
     return found
 
 
+def _placed_irreducible(f: IntPoly) -> bool:
+    """True when the root placement of f proves it irreducible: f is monic,
+    reciprocal, of degree 2s, and g = trace_project(f) is squarefree with
+    g(-2), g(2) nonzero, s - 1 roots in (-2, 2) and one in (2, oo).  f must
+    have no cyclotomic factor; `factor` tests only the parts of its
+    cofactor.  One Sturm chain of g, read at -2, 2 and +oo, decides it.
+    """
+    if not f.is_monic or f.degree & 1 or f.reciprocal() != f:
+        return False
+    chain = _sturm_chain(trace_project(f))
+    if chain[-1].degree >= 1:
+        return False
+    (s_lo, v_lo), (s_hi, v_hi) = _chain_at(chain, -2), _chain_at(chain, 2)
+    return (s_lo != 0 and s_hi != 0 and v_lo - v_hi == f.degree // 2 - 1
+            and v_hi - _chain_at(chain, POS_INF)[1] == 1)
+
+
 def _monicize(f: IntPoly) -> tuple[IntPoly, int]:
     """(F, lam) with F(x) = lam**(deg-1) * f(x/lam) monic over the integers."""
     lam = f.lc
@@ -509,7 +550,8 @@ def factor(p: IntPoly) -> Factorization:
     for hit in hits:
         counts[cyclotomic(hit.order)] = hit.multiplicity
     for part, mult in squarefree_decomposition(f):
-        for irr in _factor_squarefree(part):
+        irrs = [part] if _placed_irreducible(part) else _factor_squarefree(part)
+        for irr in irrs:
             counts[irr] = counts.get(irr, 0) + mult
     factors = tuple(sorted(counts.items(), key=lambda kv: kv[0].sort_key()))
     return Factorization(content, factors)

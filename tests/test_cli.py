@@ -11,11 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from salemrel import cli, salemkit
+from salemrel import cli, factorint, salemkit
 from salemrel.cyclo import cyclotomic
 from salemrel.polyarith import IntPoly, format_poly, trace_lift
 from salemrel.salemkit import (ConstructionFailed, enum_deg6_trace0,
-                               pair_sum_enum)
+                               pair_sum_enum, trace0_salem)
 
 DEG8 = "x^8-2x^7+x^6-2x^5+x^4-2x^3+x^2-2x+1"
 DEG12 = "x^12-4x^10-6x^9-2x^8+4x^7+7x^6+4x^5-2x^4-6x^3-4x^2+1"
@@ -108,6 +108,31 @@ def test_every_enumerated_certificate_verifies():
     assert len(certs) == 4 + 15 + 30
     for cert in certs:
         assert cli._verify_certificate(cert) == []
+
+
+def test_verify_factorization_never_takes_the_placement_shortcut(
+        monkeypatch):
+    # factor proves a monic reciprocal part of even degree irreducible by
+    # its root placement; --verify re-proves a certified trace polynomial
+    # by factoring it, which must not rest on that argument
+    certs = ([trace0_salem(d) for d in range(6, 101, 2)]
+             + list(enum_deg6_trace0())
+             + [c for k in (2, 3, 4) for c in pair_sum_enum(k).salem])
+    for cert in certs:
+        g = cert.trace_poly
+        assert not (g.is_monic and g.reciprocal() == g
+                    and g.degree % 2 == 0), g
+    original = factorint._placed_irreducible
+    placed = []
+
+    def recording(f):
+        placed.append(original(f))
+        return placed[-1]
+
+    monkeypatch.setattr(factorint, "_placed_irreducible", recording)
+    for cert in certs:
+        assert cli._verify_certificate(cert) == []
+    assert placed and not any(placed)
 
 
 def test_verify_flags_reducible_certificate(capsys, monkeypatch):

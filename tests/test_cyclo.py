@@ -1,3 +1,4 @@
+import bisect
 import random
 
 import pytest
@@ -116,6 +117,42 @@ def test_orders_match_totient_sieve():
     for deg in range(151):
         expected = [(l, phi[l]) for l in range(1, 2 * deg * deg + 1)
                     if phi[l] <= deg]
+        assert _orders_up_to(deg) == expected, deg
+
+
+def _orders_by_trial_division(deg):
+    """_orders_up_to as it was before its sieve: the primes p <= deg + 1
+    by one Miller-Rabin test each."""
+    primes = [p for p in range(2, deg + 2) if _is_prime(p)]
+    out = []
+
+    def extend(l, phi, start):
+        out.append((l, phi))
+        for i in range(start, len(primes)):
+            p = primes[i]
+            pe, phe = p, phi * (p - 1)
+            if phe > deg:
+                return
+            while phe <= deg:
+                extend(l * pe, phe, i + 1)
+                pe *= p
+                phe *= p
+
+    extend(1, 1, 0)
+    out.sort()
+    return out
+
+
+def test_sieved_orders_match_trial_division():
+    # the orders for deg are those for 3000 with totient at most deg: each
+    # degree adds the orders of totient deg to the previous list
+    by_totient = {}
+    for order in _orders_by_trial_division(3000):
+        by_totient.setdefault(order[1], []).append(order)
+    expected = []
+    for deg in range(1, 3001):
+        for order in by_totient.get(deg, ()):
+            bisect.insort(expected, order)
         assert _orders_up_to(deg) == expected, deg
 
 

@@ -10,7 +10,7 @@ from salemrel.factorint import (DegreeTooLargeError, factor, is_irreducible,
                                 kronecker_factor_oracle,
                                 squarefree_decomposition)
 from salemrel.polyarith import IntPoly, pair_sum_lift, trace_lift
-from salemrel.salemkit import FAMILIES
+from salemrel.salemkit import FAMILIES, trace0_salem
 
 
 def _random_poly(rng, max_deg):
@@ -126,6 +126,71 @@ def test_recombination_divides_only_true_factors(monkeypatch):
     exact.clear()
     assert factor(member).factor_count == 2
     assert exact == []
+
+
+# -- placement shortcut ---------------------------------------------------------------
+
+# Lehmer's polynomial, ascending: the smallest known Salem number's minpoly
+LEHMER = IntPoly((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
+
+
+def test_lehmer_is_certified_by_placement():
+    assert factorint._placed_irreducible(LEHMER)
+    with mock.patch.object(factorint, "_choose_prime") as choose:
+        assert factor(LEHMER).factors == ((LEHMER, 1),)
+    choose.assert_not_called()
+
+
+@pytest.mark.parametrize("other", [
+    # the degree-8 pair-sum member: placement of the product has two roots
+    # of its trace polynomial beyond 2
+    (1, -2, 1, -2, 1, -2, 1, -2, 1),
+    # x^2 - 3x + 1 adds a second root beyond 2
+    (1, -3, 1),
+    # x^4 + x^3 + 3x^2 + x + 1 = x^2 (y^2 + y + 1) in y = x + 1/x: the trace
+    # polynomial keeps one root beyond 2 and lacks two in (-2, 2), so only
+    # the (-2, 2) count rejects the product
+    (1, 1, 3, 1, 1),
+])
+def test_products_with_lehmer_fall_through_to_zassenhaus(other):
+    p = LEHMER * IntPoly(other)
+    assert not factorint._placed_irreducible(p)
+    assert _as_dict(factor(p)) == {LEHMER: 1, IntPoly(other): 1}
+
+
+def test_placement_runs_only_after_the_cyclotomic_strip():
+    # the roots of Phi_5 lie on the unit circle, so L * Phi_5 passes the
+    # placement test: it is sound only on a cyclotomic-free cofactor
+    p = LEHMER * cyclotomic(5)
+    assert factorint._placed_irreducible(p)
+    assert factor(p).factors == ((cyclotomic(5), 1), (LEHMER, 1))
+
+
+def _salem_inputs():
+    """(input, part) for the family members n = 20..90, whose part is the
+    Salem cofactor the cyclotomic strip leaves, and for the trace-0 minpolys
+    of degree 6..100, each its own part."""
+    members = [seq_poly(fam, n) for fam in FAMILIES for n in range(20, 91, 10)]
+    minpolys = [trace0_salem(d).minpoly for d in range(6, 101, 2)]
+    assert len(members) == 24 and len(minpolys) == 48
+    return ([(m, factorint._cyclotomic_split(m)[1]) for m in members]
+            + [(f, f) for f in minpolys])
+
+
+def test_salem_parts_skip_the_modular_pipeline():
+    inputs = _salem_inputs()
+    with mock.patch.object(factorint, "_choose_prime") as choose, \
+            mock.patch.object(factorint, "_hensel_multilift") as lift:
+        for p, part in inputs:
+            fz = factor(p)
+            assert fz.expand() == p and (part, 1) in fz.factors
+    choose.assert_not_called()
+    lift.assert_not_called()
+    # the full pipeline agrees that every such part is irreducible
+    for _, part in inputs:
+        assert squarefree_decomposition(part) == [(part, 1)]
+        assert factorint._placed_irreducible(part)
+        assert factorint._factor_squarefree(part) == [part]
 
 
 def test_trace_lift_of_linear_shift_two():

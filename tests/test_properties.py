@@ -7,7 +7,8 @@ division by a monic divisor modulo composite moduli, the Kronecker
 product kernel and the packed modular multiplication, division and
 fixed-modulus powering against schoolbook copies, poly_gcd and its
 remainder sequence against Euclid over the rationals, the modular
-factoriser against the interpolation oracle, and
+factoriser and its placement shortcut (on trace lifts) against the
+interpolation oracle, and
 the integer relation screen against per-vector rational interval sums.
 Example counts stay small and the search is derandomized so every run
 checks the same cases."""
@@ -31,7 +32,7 @@ from salemrel.cyclo import seq_poly
 from salemrel.parsing import parse_poly
 from salemrel.polyarith import (IntPoly, _primitive_prs, _scaled_value,
                                 div_exact, format_poly, poly_gcd,
-                                trace_project)
+                                trace_lift, trace_project)
 from salemrel.realroots import (NEG_INF, POS_INF, RootBox, _chain_at,
                                 _chain_values, _common_den, _scaled_range,
                                 _sqf_and_chain, count_roots, isolate_roots,
@@ -661,6 +662,16 @@ def test_factor_matches_oracle_on_products(fs):
     for f in fs:
         p = p * f
     assert factor(p) == kronecker_factor_oracle(p)
+
+
+@_PROPERTY
+@given(st.lists(st.integers(-6, 6), min_size=1, max_size=4))
+def test_factor_matches_oracle_on_trace_lifts(low):
+    # lifts of monic g of degree 1..4 are monic reciprocal of degree 2..8:
+    # the inputs the placement shortcut of factor tests, with and without
+    # cyclotomic factors, placement, or a squarefree trace polynomial
+    f = trace_lift(IntPoly(tuple(low) + (1,)))
+    assert factor(f) == kronecker_factor_oracle(f)
 
 
 def _reduced_vectors(s: int, max_sum: int):
