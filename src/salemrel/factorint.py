@@ -44,7 +44,7 @@ from fractions import Fraction
 from .cyclo import _cyclotomic_split, cyclotomic
 from .polyarith import (IntPoly, _divisors, _is_prime, _signed_content,
                         div_exact, poly_gcd, trace_project)
-from .realroots import POS_INF, _chain_at, _sturm_chain
+from .realroots import _placement, squarefree_part
 
 
 class DegreeTooLargeError(ValueError):
@@ -494,16 +494,16 @@ def _placed_irreducible(f: IntPoly) -> bool:
     reciprocal, of degree 2s, and g = trace_project(f) is squarefree with
     g(-2), g(2) nonzero, s - 1 roots in (-2, 2) and one in (2, oo).  f must
     have no cyclotomic factor; `factor` tests only the parts of its
-    cofactor.  One Sturm chain of g, read at -2, 2 and +oo, decides it.
+    cofactor.  The cached Sturm chain of g, read once at each of -2, 2
+    and +oo (`realroots._placement`), decides it.
     """
     if not f.is_monic or f.degree & 1 or f.reciprocal() != f:
         return False
-    chain = _sturm_chain(trace_project(f))
-    if chain[-1].degree >= 1:
+    g = trace_project(f)
+    if squarefree_part(g).degree != g.degree:
         return False
-    (s_lo, v_lo), (s_hi, v_hi) = _chain_at(chain, -2), _chain_at(chain, 2)
-    return (s_lo != 0 and s_hi != 0 and v_lo - v_hi == f.degree // 2 - 1
-            and v_hi - _chain_at(chain, POS_INF)[1] == 1)
+    s_lo, s_hi, n_band, n_up = _placement(g)
+    return s_lo != 0 and s_hi != 0 and n_band == g.degree - 1 and n_up == 1
 
 
 def _monicize(f: IntPoly) -> tuple[IntPoly, int]:

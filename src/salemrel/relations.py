@@ -41,12 +41,16 @@ _MAX_PRECISION_BITS = 1024
 _MAX_SCREEN_VECTORS = 10 ** 7
 # _refine_work models refining s beta boxes to width 2^-(2*precision_bits),
 # as the screen does, and again to 2^-(4*precision_bits), as `relations
-# --verify` does when a report is certified: about 6*precision_bits
-# bisections per box, each an integer Horner pass of s+1 steps on operands
-# of up to about 4*s*precision_bits bits, as s^2*p*(1 + s*p^2/2^19) units,
-# which took 7-14 us each from s = 4 to s = 100 on 2 cores (Python 3.11).
-# At the cap (50 betas at 120 bits, 84 at 64, 10 at 700) the screen's
-# refinement took 0.7-1.2 s and the --verify refinement 4.7-6.7 s
+# --verify` does when a report is certified, by plain bisection: about
+# 6*precision_bits halvings per box, each an integer Horner pass of s+1
+# steps on operands of up to about 4*s*precision_bits bits, as
+# s^2*p*(1 + s*p^2/2^19) units, which took 7-14 us each from s = 4 to
+# s = 100.  `refine` now reaches the same boxes by quadratic interval
+# refinement, in tens of passes per box, so the model overprices the work:
+# at the cap (50 betas at 120 bits, 84 at 64, 10 at 700) the screen's
+# refinement takes 4-49 ms and the --verify refinement 13-103 ms on 2
+# cores (Python 3.11), where bisection took 0.5 s and 2.6-3.2 s.  The cap
+# is kept until an exact relation test replaces the --verify refinement
 _MAX_REFINE_WORK = 750_000
 
 CERTIFIED_TRACE = "certified_trace"
@@ -308,8 +312,9 @@ def _survivors(cert: SalemCertificate, max_sum: int, precision_bits: int):
     refined.  One walk over the vector tree carries each vector's interval
     sum as integer numerators over the boxes' common denominator, built from
     its parent's sum with one multiply-add per endpoint.  Finer boxes could
-    not change a verdict: `refine` continues the same bisection, so they
-    would lie inside these, and a sum that misses 0 here misses it there.
+    not change a verdict: `refine` returns the boxes that continuing the
+    same bisection would, whether it halves or jumps, so they would lie
+    inside these, and a sum that misses 0 here misses it there.
     """
     s = len(cert.beta_boxes)
     count = _screen_size(s, max_sum)

@@ -20,8 +20,8 @@ from fractions import Fraction
 from .cyclo import SalemSeq, seq_poly, cyclotomic_progressions, ProgressionSet
 from .polyarith import (IntPoly, _scaled_value, _sign, pair_sum_lift,
                         poly_gcd, trace, trace_lift, trace_project)
-from .realroots import (RootBox, _bisect, _scaled_range, count_roots,
-                        cubic_salem_split, isolate_roots, refine,
+from .realroots import (RootBox, _bisect, _placement, _scaled_range,
+                        count_roots, cubic_salem_split, isolate_roots, refine,
                         sqrt_interval)
 
 _BETA_WIDTH = Fraction(1, 1 << 16)
@@ -162,17 +162,22 @@ def salem_check(f: IntPoly):
         return RejectionReason(RejectionKind.DEGREE_TOO_SMALL)
     g = trace_project(f)
     s = f.degree // 2
-    if g.sign_at(2) == 0 or g.sign_at(-2) == 0:
+    s_lo, s_hi, n_band, n_up = _placement(g)
+    if s_lo == 0 or s_hi == 0:
         return RejectionReason(RejectionKind.ROOT_WINDOW_VIOLATION,
                                "root at the window boundary")
-    n_up = count_roots(g, 2, None)
     if n_up != 1:
         return RejectionReason(RejectionKind.ROOT_WINDOW_VIOLATION,
                                f"{n_up} roots beyond 2 (need exactly 1)")
-    n_band = count_roots(g, -2, 2)
     if n_band != s - 1:
         return RejectionReason(RejectionKind.ROOT_WINDOW_VIOLATION,
                                f"{n_band} roots in (-2,2) (need {s - 1})")
+    return _certify_placed(f, g)
+
+
+def _certify_placed(f: IntPoly, g: IntPoly):
+    """salem_check's verdict on a monic reciprocal f of degree >= 4 whose
+    trace polynomial g has passed the placement test."""
     if _placed_reducible(g):
         return RejectionReason(RejectionKind.REDUCIBLE)
     boxes = [refine(b, _BETA_WIDTH) for b in isolate_roots(g)]
@@ -186,16 +191,20 @@ def salem_check(f: IntPoly):
 
 
 def build_salem_from_trace_poly(g: IntPoly):
-    """Lift a monic g to x^s*g(x+1/x) and certify, checking placement first."""
+    """Lift a monic g to x^s*g(x+1/x) and certify, checking placement first;
+    the lift is monic and reciprocal of degree 2s, so of salem_check's
+    remaining tests only its degree bound is left to apply."""
     if g.is_zero or not g.is_monic or g.degree < 1:
         raise ValueError("monic polynomial of degree >= 1 required")
-    s = g.degree
-    if g.sign_at(2) == 0 or g.sign_at(-2) == 0:
+    s_lo, s_hi, n_band, n_up = _placement(g)
+    if s_lo == 0 or s_hi == 0:
         return RejectionReason(RejectionKind.ROOT_WINDOW_VIOLATION,
                                "root at the window boundary")
-    if count_roots(g, 2, None) != 1 or count_roots(g, -2, 2) != s - 1:
+    if n_up != 1 or n_band != g.degree - 1:
         return RejectionReason(RejectionKind.ROOT_WINDOW_VIOLATION)
-    return salem_check(trace_lift(g))
+    if g.degree < 2:
+        return RejectionReason(RejectionKind.DEGREE_TOO_SMALL)
+    return _certify_placed(trace_lift(g), g)
 
 
 # -- degree-6 trace-0 enumeration --------------------------------------------------

@@ -1,6 +1,7 @@
 """Property tests: exact root counting against isolation, the integer
-evaluation kernel of realroots (interval Horner, bisection, Sturm sign
-variations) and the window search's pruning bounds against
+evaluation kernel of realroots (interval Horner, bisection and its
+quadratic-interval-refinement jumps, Sturm sign variations, the placement
+reading) and the window search's pruning bounds against
 rational-arithmetic references, the canonical print form against the
 parser, exact division against rational long division, modular
 division by a monic divisor modulo composite moduli, the Kronecker
@@ -24,7 +25,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from salemrel import polyarith, realroots, relations
+from salemrel import polyarith, realroots, relations, salemkit
 from salemrel.factorint import (_SLOT_CODES, _gp_divmod, _gp_mul,
                                 _gp_powmod, _gp_reducer, _kron_mul, factor,
                                 kronecker_factor_oracle)
@@ -40,7 +41,7 @@ from salemrel.realroots import (NEG_INF, POS_INF, RootBox, _chain_at,
 from salemrel.relations import _sum_interval, _survivors
 from salemrel.salemkit import (FAMILIES, _interlacing_range, _window_range,
                                family_degree_shift, salem_check,
-                               trace0_salem)
+                               trace0_salem, window_poly_search)
 
 _PROPERTY = settings(max_examples=80, deadline=None, derandomize=True,
                      database=None)
@@ -204,6 +205,145 @@ def test_refine_matches_rational_bisection(p, a, b, eps):
     assert Fraction(box.hn, box.den) == box.hi
 
 
+def _plain_bisect(p: IntPoly, ln: int, hn: int, den: int, en: int, ed: int):
+    """Bisection of (ln/den, hn/den) to a width below en/ed, one rational
+    sign test of p per halving, with `_bisect`'s shortcut to the root of a
+    linear p: the reference for the jump path, as an (ln, hn, den) triple."""
+    if p.degree == 1:
+        c0, c1 = p.coeffs
+        return (-c0, -c0, c1) if c1 > 0 else (c0, c0, -c1)
+    s_lo = p.sign_at(Fraction(ln, den))
+    while (hn - ln) * ed >= en * den:
+        mn, ln, hn, den = ln + hn, 2 * ln, 2 * hn, 2 * den
+        sm = p.sign_at(Fraction(mn, den))
+        if sm == 0:
+            return mn, mn, den
+        if sm == s_lo:
+            ln = mn
+        else:
+            hn = mn
+    return ln, hn, den
+
+
+# products of linear factors b*x - a, whose roots can sit on a point of a
+# box's bisection grid, and of irreducible factors with irrational roots
+# or none
+_IRREDUCIBLE = (IntPoly((-2, 0, 1)), IntPoly((-1, -1, 1)),
+                IntPoly((-1, -1, 0, 1)), IntPoly((1, 1, 1)),
+                IntPoly((-3, 0, 0, 0, 1)))
+_one_root_poly = st.tuples(
+    st.lists(st.tuples(st.integers(-16, 16),
+                       st.sampled_from((1, 2, 3, 4, 8, 16, 64))),
+             max_size=3),
+    st.lists(st.sampled_from(_IRREDUCIBLE), max_size=2, unique=True),
+).map(lambda t: _product([IntPoly((-a, b)) for a, b in t[0]] + t[1]))
+
+
+@_PROPERTY
+@given(_one_root_poly, st.integers(0, 99),
+       st.one_of(st.integers(1, 24),
+                 st.sampled_from((Fraction(1, 64), Fraction(1, 3 ** 5),
+                                  Fraction(7, 10), Fraction(1, 1 << 300)))))
+# rational roots on grid points of the box at levels 1, 4 and 7, of a
+# non-dyadic box at level 3, and one finer than the target; 13/16 is met
+# by a jump's second test, at level 7, and returned at level 4
+@example(_product([IntPoly((-1, 2)), IntPoly((-2, 0, 1))]), (0, 1),
+         Fraction(1, 1 << 20))
+@example(_product([IntPoly((-5, 16)), IntPoly((-2, 0, 1))]), (0, 1),
+         Fraction(1, 1 << 20))
+@example(_product([IntPoly((-45, 128)), IntPoly((1, 1, 1))]), (0, 1), 12)
+@example(_product([IntPoly((-13, 16)), IntPoly((-2, 0, 1))]), (0, 1),
+         Fraction(1, 1 << 20))
+@example(_product([IntPoly((-15, 8)), IntPoly((1, 1, 1))]), (0, 3),
+         Fraction(1, 1 << 20))
+@example(_product([IntPoly((-1, 1 << 30)), IntPoly((-2, 0, 1))]), (0, 1),
+         Fraction(1, 1 << 20))
+# a linear polynomial, whose root comes back at once
+@example(IntPoly((-1, 3)), (0, 1), Fraction(1, 1 << 20))
+# targets one, two and three halvings away, and one at 2^-4096
+@example(IntPoly((-2, 0, 1)), (1, 2), 1)
+@example(IntPoly((-2, 0, 1)), (1, 2), 2)
+@example(IntPoly((-2, 0, 1)), (1, 2), 3)
+@example(IntPoly((-1, -1, 0, 1)), (1, 2), Fraction(1, 1 << 4096))
+def test_jump_bisect_matches_plain_bisection(p, where, target):
+    """On a box proved to hold one root, the jump path of `_bisect` (and
+    `refine`, which takes it) returns plain bisection's triple.  where is
+    an explicit box, whose one root a Sturm count proves, or picks one of
+    isolate_roots(p); a target t > 0 of type int asks for t halvings."""
+    sqf = squarefree_part(p)
+    if isinstance(where, tuple):
+        lo, hi = map(Fraction, where)
+        assert count_roots(sqf, lo, hi) == 1
+        ln, hn, den = _common_den(lo, hi)
+    else:
+        boxes = [b for b in isolate_roots(p) if b.exact is None]
+        assume(boxes)
+        box = boxes[where % len(boxes)]
+        assert box.poly == sqf
+        ln, hn, den = box.ln, box.hn, box.den
+    # t halvings: width/2^(t-1) >= eps > width/2^t
+    eps = (Fraction(3 * (hn - ln), den << (target + 1))
+           if isinstance(target, int) else target)
+    en, ed = eps.numerator, eps.denominator
+    coeffs = sqf.coeffs
+    v_lo = _scaled_value(coeffs, ln, den)
+    expected = _plain_bisect(sqf, ln, hn, den, en, ed)
+    assert realroots._bisect(coeffs, ln, hn, den, (v_lo > 0) - (v_lo < 0),
+                             en, ed, v_lo) == expected
+    box = refine(RootBox._from_ends(sqf, ln, hn, den, one_root=True), eps)
+    if sqf.degree > 1 and (hn - ln) * ed < en * den:
+        expected = ln, hn, den  # already narrow enough
+    assert (box.ln, box.hn, box.den) == expected
+
+
+def test_jumps_cut_horner_passes_where_one_root_is_proved():
+    """refine makes at most 3/4 of the jump-free path's Horner passes on
+    proved one-root boxes: the isolation boxes of trace0_salem(100) to
+    2^-16, as salem_check refines them, and trace0_salem(20)'s beta boxes
+    to 2^-2800, the --verify width at the relations refinement cap.  Where
+    jumps stay off, in the window search's single `_alternates` steps and
+    gap bisection, every halving costs one Horner pass."""
+    calls = [0]
+    original = realroots._scaled_value
+
+    def counted(coeffs, n, d):
+        calls[0] += 1
+        return original(coeffs, n, d)
+
+    def passes(boxes, eps):
+        calls[0] = 0
+        with mock.patch.object(realroots, "_scaled_value", counted):
+            out = [refine(b, eps) for b in boxes]
+        return [(b.ln, b.hn, b.den) for b in out], calls[0]
+
+    for boxes, bits in ((isolate_roots(trace0_salem(100).trace_poly), 16),
+                        (trace0_salem(20).beta_boxes, 2800)):
+        eps = Fraction(1, 1 << bits)
+        jumped, n_jumped = passes(boxes, eps)
+        plain, n_plain = passes(
+            [RootBox._from_ends(b.poly, b.ln, b.hn, b.den) for b in boxes],
+            eps)
+        assert jumped == plain
+        assert 4 * n_jumped <= 3 * n_plain, (bits, n_jumped, n_plain)
+
+    callers, bisect = set(), salemkit._bisect
+
+    def one_pass_per_halving(coeffs, ln, hn, den, *rest):
+        start = calls[0]
+        out = bisect(coeffs, ln, hn, den, *rest)
+        if len(coeffs) > 2:
+            halvings = (out[2] // den).bit_length() - 1
+            assert out[2] == den << halvings
+            assert calls[0] - start == halvings
+            callers.add(sys._getframe(1).f_code.co_name)
+        return out
+
+    with mock.patch.object(realroots, "_scaled_value", counted), \
+            mock.patch.object(salemkit, "_bisect", one_pass_per_halving):
+        window_poly_search(4)
+    assert callers == {"_alternates", "descend"}
+
+
 def _family_trace(family: int, d: int) -> IntPoly:
     """Trace polynomial of the degree-d member of a sequence family."""
     seq = FAMILIES[family - 1]
@@ -322,6 +462,25 @@ def test_isolate_roots_matches_per_node_counting():
 def test_isolate_roots_matches_per_node_counting_on_rational_roots(p):
     boxes = [(bx.lo, bx.hi, bx.exact) for bx in isolate_roots(p)]
     assert boxes == _per_node_isolate(p)
+
+
+@_PROPERTY
+@given(st.lists(st.integers(-12, 12), min_size=2, max_size=8)
+       .filter(lambda cs: cs[-1] != 0))
+# roots at -2 and 2; a double root at 2; a double root inside (-2, 2)
+@example([-4, 0, 1])
+@example([4, 0, -3, 1])
+@example([-3, 1, 6, -2, -3, 1])
+def test_placement_matches_sign_tests_and_counts(coeffs):
+    """`_placement`'s one reading of the cached chain gives the boundary
+    signs' zeros and the root counts that salem_check used to take from
+    two sign tests and two count_roots calls."""
+    g = IntPoly(tuple(coeffs))
+    s_lo, s_hi, n_band, n_up = realroots._placement(g)
+    assert (s_lo == 0, s_hi == 0) == (g.sign_at(-2) == 0, g.sign_at(2) == 0)
+    if s_lo and s_hi:
+        assert (n_band, n_up) == (count_roots(g, -2, 2),
+                                  count_roots(g, 2, None))
 
 
 def test_isolate_roots_evaluates_each_point_once():
