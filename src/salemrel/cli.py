@@ -165,13 +165,22 @@ def _verify_certificate(cert: SalemCertificate) -> list[str]:
         fails.append("minpoly is not reciprocal")
     if cert.trace != -f[f.degree - 1] or cert.trace != -g[g.degree - 1]:
         fails.append("trace mismatch between minpoly and trace polynomial")
-    s = f.degree // 2
-    if count_roots(g, 2, None) != 1 or count_roots(g, -2, 2) != s - 1:
-        fails.append("root placement recount failed")
-    up = [b for b in cert.beta_boxes if b.lo > 2]
-    if len(up) != 1 or up[0] is not cert.beta_boxes[0]:
+    # s disjoint boxes, each with a strict sign change of the degree-s g,
+    # hold its s roots one apiece: this re-proves the placement below
+    boxes = cert.beta_boxes
+    if len(boxes) != g.degree:
+        fails.append("beta box count differs from the trace polynomial's "
+                     "degree")
+    if any(g.sign_at(b.lo) * g.sign_at(b.hi) >= 0 for b in boxes):
+        fails.append("a beta box does not bracket a sign change of the "
+                     "trace polynomial")
+    ends = sorted((b.lo, b.hi) for b in boxes)
+    if any(a[1] > b[0] for a, b in zip(ends, ends[1:])):
+        fails.append("beta boxes overlap")
+    up = [b for b in boxes if b.lo > 2]
+    if len(up) != 1 or up[0] is not boxes[0]:
         fails.append("beta boxes do not show exactly one root beyond 2")
-    if any(not (-2 < b.lo and b.hi < 2) for b in cert.beta_boxes[1:]):
+    if any(not (-2 < b.lo and b.hi < 2) for b in boxes[1:]):
         fails.append("a beta box strays outside (-2, 2)")
     if f.sign_at(cert.alpha.lo) * f.sign_at(cert.alpha.hi) >= 0:
         fails.append("alpha box does not bracket a sign change of minpoly")
@@ -234,13 +243,11 @@ def _cmd_salem_check(args):
         result = {"is_salem": True, "rejection": None}
         lines = [f"Salem minimal polynomial: {format_poly(p)}",
                  _alpha_line(outcome)]
-        verify = lambda: _verify_certificate(outcome)
     else:
         result = {"is_salem": False, "rejection": _rejection_doc(outcome)}
         lines = [f"not a Salem minimal polynomial: {outcome.kind.value}"
                  + (f" ({outcome.detail})" if outcome.detail else "")]
-        verify = lambda: []
-    return _Reply({"poly": format_poly(p)}, result, lines, verify,
+    return _Reply({"poly": format_poly(p)}, result, lines, lambda: [],
                   certs=[outcome] if outcome else [])
 
 
@@ -296,8 +303,6 @@ def _cmd_lemma4_lift(args):
             fails.append("h(x(1-x)) identity failed")
         if trace_project(f) != g:
             fails.append("lift does not project back to h(x(1-x))")
-        for c in certs:
-            fails.extend(_verify_certificate(c))
         return fails
 
     result = {"lift": _poly_doc(f), "trace_poly": _poly_doc(g),
@@ -436,7 +441,7 @@ def _cmd_trace0(args):
     lines.append(_alpha_line(cert))
 
     def verify():
-        fails = _verify_certificate(cert)
+        fails = []
         if cert.trace != 0:
             fails.append("certificate trace is not zero")
         if cert.degree != args.degree:
@@ -468,11 +473,8 @@ def _cmd_enum(args):
             lines.append(format_poly(c.minpoly))
 
         def verify():
-            fails = []
-            for c in certs:
-                fails.extend(_verify_certificate(c))
-                if c.trace != 0 or c.degree != 6:
-                    fails.append("sextic certificate has wrong shape")
+            fails = ["sextic certificate has wrong shape" for c in certs
+                     if c.trace != 0 or c.degree != 6]
             if len(det.pairs) != 7 or len(det.discarded_cubics) != 3 \
                     or len(certs) != 4:
                 fails.append("enumeration counts changed")
@@ -502,7 +504,6 @@ def _cmd_enum(args):
         fails = []
         traces = {pair_sum_trace_poly(h).coeffs for h in res.satisfying}
         for c in certs:
-            fails.extend(_verify_certificate(c))
             if c.trace_poly.coeffs not in traces:
                 fails.append("certificate does not match any window polynomial")
         quarter = Fraction(1, 4)
@@ -536,12 +537,12 @@ def _cmd_relations(args):
         lines.append("no relations found")
 
     def verify():
-        fails = _verify_certificate(outcome)
         certified = [rep for rep in reports if rep.status != NUMERIC_ONLY]
         if not certified:
-            return fails
+            return []
         width = Fraction(1, 1 << (4 * args.precision))
         boxes = [refine(b, width) for b in outcome.beta_boxes]
+        fails = []
         for rep in certified:
             lo, hi = _sum_interval(boxes, rep.reduced)
             if not lo <= 0 <= hi:
@@ -662,7 +663,8 @@ def _run(argv) -> int:
 
     verified = False
     if args.verify:
-        failures = out.verify()
+        failures = [fail for cert in out.certs
+                    for fail in _verify_certificate(cert)] + out.verify()
         if failures:
             for failure in failures:
                 print(f"verification failed: {failure}", file=sys.stderr)

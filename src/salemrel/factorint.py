@@ -11,10 +11,10 @@ independent interpolation-based method kept for cross-checking in tests.
 Before the pipeline, a squarefree part f of the cofactor is emitted as one
 irreducible factor, with no prime chosen and nothing lifted, when its root
 placement proves it irreducible (`_placed_irreducible`): f is monic,
-reciprocal and of degree 2s, and g = trace_project(f) is squarefree (its
-Sturm chain ends in a constant), g(-2) and g(2) are nonzero, and g has s - 1
-roots in (-2, 2) and one in (2, oo).  The Salem polynomials of the paper's
-families pass it once their cyclotomic factors are off.
+reciprocal and of degree 2s, g = trace_project(f) has g(-2) and g(2)
+nonzero, and g has s - 1 distinct roots in (-2, 2) and one in (2, oo).  The
+Salem polynomials of the paper's families pass it once their cyclotomic
+factors are off.
 
 Proof.  g has s simple real roots, and f = x^s g(x + 1/x) is the product of
 the x^2 - t x + 1 over them: each root t in (-2, 2) gives two roots of f on
@@ -44,7 +44,7 @@ from fractions import Fraction
 from .cyclo import _cyclotomic_split, cyclotomic
 from .polyarith import (IntPoly, _divisors, _is_prime, _signed_content,
                         div_exact, poly_gcd, trace_project)
-from .realroots import _placement, squarefree_part
+from .realroots import _placement
 
 
 class DegreeTooLargeError(ValueError):
@@ -491,17 +491,16 @@ def _factor_monic_squarefree(f: IntPoly) -> list[IntPoly]:
 
 def _placed_irreducible(f: IntPoly) -> bool:
     """True when the root placement of f proves it irreducible: f is monic,
-    reciprocal, of degree 2s, and g = trace_project(f) is squarefree with
-    g(-2), g(2) nonzero, s - 1 roots in (-2, 2) and one in (2, oo).  f must
-    have no cyclotomic factor; `factor` tests only the parts of its
-    cofactor.  The cached Sturm chain of g, read once at each of -2, 2
-    and +oo (`realroots._placement`), decides it.
+    reciprocal, of degree 2s, and g = trace_project(f) has g(-2), g(2)
+    nonzero, s - 1 distinct roots in (-2, 2) and one in (2, oo); s distinct
+    roots of the degree-s g prove it squarefree.  f must have no cyclotomic
+    factor; `factor` tests only the parts of its cofactor.  The cached
+    Sturm chain of g, read once at each of -2, 2 and +oo
+    (`realroots._placement`), decides it.
     """
     if not f.is_monic or f.degree & 1 or f.reciprocal() != f:
         return False
     g = trace_project(f)
-    if squarefree_part(g).degree != g.degree:
-        return False
     s_lo, s_hi, n_band, n_up = _placement(g)
     return s_lo != 0 and s_hi != 0 and n_band == g.degree - 1 and n_up == 1
 

@@ -495,6 +495,17 @@ def refine(box: RootBox, eps) -> RootBox:
     return RootBox._from_ends(box.poly, *ends, one_root=box._one_root)
 
 
+def _refine_cost(s: int, bits: int) -> int:
+    """Price of refining the s one-root boxes that isolation gives a
+    degree-s polynomial to width 2^-bits with `refine`, in microseconds:
+    s*(60 + s*b*(9000 + s*(b + 300))/280000) for b = bits, a few dozen
+    Horner passes per box, each of s steps on operands of up to s*b bits.
+    Fitted to the beta boxes of trace0_salem(2s) for s = 3..200 and
+    b = 32..4096 (2 cores, Python 3.11); there it prices 1.3-3.7 times the
+    measured time."""
+    return s * (60 + s * bits * (9000 + s * (bits + 300)) // 280_000)
+
+
 # -- window predicates for cubics x^3 - a*x + b ---------------------------------
 #
 # The discriminant-style inequality 27*b**2 < 4*a**3 encodes |b| < 2a*sqrt(a)/

@@ -27,11 +27,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .polyarith import IntPoly
-from .realroots import _scaled_range, refine
+from .realroots import _refine_cost, _scaled_range, refine
 from .salemkit import SalemCertificate
 
 MAX_LENGTH_LIMIT = 24
-# screening bisects every beta box to width 2^-(2*precision_bits) and
+# screening refines every beta box to width 2^-(2*precision_bits) and
 # `relations --verify` to 2^-(4*precision_bits), at a cost that grows faster
 # than linearly in precision_bits; the bound is 16 times the default
 _MAX_PRECISION_BITS = 1024
@@ -39,19 +39,10 @@ _MAX_PRECISION_BITS = 1024
 # 2 cores, Python 3.11), so the largest accepted screen, s = 10 with
 # sum |m_j| <= 11 (9.2 million vectors), takes about 8 s
 _MAX_SCREEN_VECTORS = 10 ** 7
-# _refine_work models refining s beta boxes to width 2^-(2*precision_bits),
-# as the screen does, and again to 2^-(4*precision_bits), as `relations
-# --verify` does when a report is certified, by plain bisection: about
-# 6*precision_bits halvings per box, each an integer Horner pass of s+1
-# steps on operands of up to about 4*s*precision_bits bits, as
-# s^2*p*(1 + s*p^2/2^19) units, which took 7-14 us each from s = 4 to
-# s = 100.  `refine` now reaches the same boxes by quadratic interval
-# refinement, in tens of passes per box, so the model overprices the work:
-# at the cap (50 betas at 120 bits, 84 at 64, 10 at 700) the screen's
-# refinement takes 4-49 ms and the --verify refinement 13-103 ms on 2
-# cores (Python 3.11), where bisection took 0.5 s and 2.6-3.2 s.  The cap
-# is kept until an exact relation test replaces the --verify refinement
-_MAX_REFINE_WORK = 750_000
+# the price (`realroots._refine_cost`, in microseconds) of refining the beta
+# boxes for the screen and again for `relations --verify`: the work it
+# admits took at most about 3 s on 2 cores (150 betas at 128 bits)
+_MAX_REFINE_WORK = 8_000_000
 
 CERTIFIED_TRACE = "certified_trace"
 CERTIFIED_PAIRSUM = "certified_pairsum"
@@ -285,15 +276,6 @@ def _screen_size(s: int, max_sum: int) -> int:
     return (points - 1) // 2
 
 
-def _refine_work(s: int, precision_bits: int) -> int:
-    """Work units of refining s beta boxes to width 2^-(2*precision_bits)
-    and then to 2^-(4*precision_bits): s^2*p Horner steps plus s^3*p^3/2^19
-    for their growing operands.  The screen makes the first refinement;
-    `relations --verify` makes the second whenever a report is certified."""
-    p = precision_bits
-    return s * s * p * ((1 << 19) + s * p * p) >> 19
-
-
 def _integer_ends(boxes):
     """The boxes' endpoints as integer numerators over their common
     denominator: (lo numerators, hi numerators, denominator)."""
@@ -307,14 +289,14 @@ def _survivors(cert: SalemCertificate, max_sum: int, precision_bits: int):
     first nonzero entry whose beta sum encloses 0 on boxes of width
     2^-(2*precision_bits), as a lazy iterator in lexicographic order.
 
-    The screen's size is checked against _MAX_SCREEN_VECTORS, and the cost
-    of refining the boxes against _MAX_REFINE_WORK, before any box is
-    refined.  One walk over the vector tree carries each vector's interval
-    sum as integer numerators over the boxes' common denominator, built from
-    its parent's sum with one multiply-add per endpoint.  Finer boxes could
-    not change a verdict: `refine` returns the boxes that continuing the
-    same bisection would, whether it halves or jumps, so they would lie
-    inside these, and a sum that misses 0 here misses it there.
+    The screen's size is checked against _MAX_SCREEN_VECTORS, and the
+    price of refining the boxes to this width and to 2^-(4*precision_bits),
+    as `relations --verify` does, against _MAX_REFINE_WORK, before any box
+    is refined.  One walk over the vector tree carries each vector's
+    interval sum as integer numerators over the boxes' common denominator,
+    built from its parent's sum with one multiply-add per endpoint.  Finer
+    boxes could not change a verdict: `refine` nests them inside these, and
+    a sum that misses 0 here misses it there.
     """
     s = len(cert.beta_boxes)
     count = _screen_size(s, max_sum)
@@ -322,7 +304,8 @@ def _survivors(cert: SalemCertificate, max_sum: int, precision_bits: int):
         raise ValueError(
             f"screen of {count} reduced vectors exceeds the cap of "
             f"{_MAX_SCREEN_VECTORS}; lower the length bound")
-    work = _refine_work(s, precision_bits)
+    work = (_refine_cost(s, 2 * precision_bits)
+            + _refine_cost(s, 4 * precision_bits))
     if work > _MAX_REFINE_WORK:
         raise ValueError(
             f"refining {s} beta boxes at {precision_bits} bits costs {work} "
@@ -375,10 +358,10 @@ def find_relations(cert: SalemCertificate, max_length: int,
     refined beta boxes, then attaches an exact certification status; the
     constant vector appears (flagged trivial) exactly when the trace is 0.
     precision_bits must lie in [1, 1024].  A screen of more than 10^7
-    reduced vectors, or box refinement over _MAX_REFINE_WORK (a cost model
-    that also prices the finer refinement of `relations --verify`; at 64
-    bits it admits up to 84 betas), is refused with a ValueError before any
-    work starts.
+    reduced vectors, or box refinement priced over _MAX_REFINE_WORK by
+    `realroots._refine_cost` (the screen's and the finer one of `relations
+    --verify` together; at 64 bits it admits up to 218 betas), is refused
+    with a ValueError before any work starts.
     """
     if not 1 <= max_length <= MAX_LENGTH_LIMIT:
         raise ValueError(f"max_length must be in [1, {MAX_LENGTH_LIMIT}]")

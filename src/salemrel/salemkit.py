@@ -21,7 +21,7 @@ from .cyclo import SalemSeq, seq_poly, cyclotomic_progressions, ProgressionSet
 from .polyarith import (IntPoly, _scaled_value, _sign, pair_sum_lift,
                         poly_gcd, trace, trace_lift, trace_project)
 from .realroots import (RootBox, _bisect, _placement, _scaled_range,
-                        count_roots, cubic_salem_split, isolate_roots, refine,
+                        cubic_salem_split, isolate_roots, refine,
                         sqrt_interval)
 
 _BETA_WIDTH = Fraction(1, 1 << 16)

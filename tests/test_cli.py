@@ -14,6 +14,7 @@ import pytest
 from salemrel import cli, factorint, salemkit
 from salemrel.cyclo import cyclotomic
 from salemrel.polyarith import IntPoly, format_poly, trace_lift
+from salemrel.realroots import RootBox
 from salemrel.salemkit import (ConstructionFailed, enum_deg6_trace0,
                                pair_sum_enum, trace0_salem)
 
@@ -148,6 +149,24 @@ def test_verify_flags_reducible_certificate(capsys, monkeypatch):
         "trace polynomial is not irreducible"]
     assert cli.run(["salem-check", format_poly(f), "--verify"]) == 2
     assert "trace polynomial is not irreducible" in capsys.readouterr().err
+
+
+def test_verify_flags_beta_box_without_a_root():
+    # beta box 1 moved into the gap above box 2: g is +1 at both ends, so
+    # the boxes no longer place the roots of g, though a Sturm recount of
+    # g itself still finds them where a Salem trace polynomial has them
+    cert = trace0_salem(10)
+    g, boxes = cert.trace_poly, list(cert.beta_boxes)
+    gap_lo, gap_hi = boxes[2].hi, boxes[1].lo
+    lo, hi = (2 * gap_lo + gap_hi) / 3, (gap_lo + 2 * gap_hi) / 3
+    assert g.sign_at(lo) == g.sign_at(hi) == 1
+    boxes[1] = RootBox._from_ends(g, lo.numerator * hi.denominator,
+                                  hi.numerator * lo.denominator,
+                                  lo.denominator * hi.denominator)
+    forged = dataclasses.replace(cert, beta_boxes=tuple(boxes))
+    assert cli._verify_certificate(cert) == []
+    assert cli._verify_certificate(forged) == [
+        "a beta box does not bracket a sign change of the trace polynomial"]
 
 
 # -- document schema ----------------------------------------------------------------------
@@ -493,14 +512,31 @@ def test_relations_screen_capped(capsys):
 
 
 def test_relations_refinement_capped(capsys):
-    # bisecting 50 beta boxes to width 2^-1024 alone took 45 s
+    # refining 50 beta boxes to width 2^-2048, and for --verify to 2^-4096,
+    # took 4.6 s
     start = time.perf_counter()
     assert cli.run(["relations", "x^100-x^98-x^97-x^3-x^2+1",
-                    "--max-length", "2", "--precision", "512"]) == 1
+                    "--max-length", "2", "--precision", "1024"]) == 1
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err == (
-        "error: refining 50 beta boxes at 512 bits costs 33280000 work "
-        "units, over the budget of 750000; lower the precision\n")
+        "error: refining 50 beta boxes at 1024 bits costs 10684800 work "
+        "units, over the budget of 8000000; lower the precision\n")
+    # 200 beta boxes to 2^-256 and 2^-512 took 5.1 s
+    assert cli.run(["relations", "x^400-x^398-x^397-x^3-x^2+1",
+                    "--max-length", "2", "--precision", "128"]) == 1
+    assert capsys.readouterr().err == (
+        "error: refining 200 beta boxes at 128 bits costs 16956400 work "
+        "units, over the budget of 8000000; lower the precision\n")
+
+
+@pytest.mark.parametrize("degree, precision", [(20, "1024"), (200, "64")])
+def test_relations_refinement_admitted(capsys, degree, precision):
+    # refining the beta boxes for the screen and for --verify takes 0.03 s
+    # and 0.3 s on 2 cores
+    poly = format_poly(trace0_salem(degree).minpoly)
+    assert cli.run(["relations", poly, "--max-length", "2",
+                    "--precision", precision]) == 0
+    assert capsys.readouterr().out == "no relations found\n"
 
 
 def test_parse_exponent_capped(capsys):

@@ -300,7 +300,7 @@ def test_jumps_cut_horner_passes_where_one_root_is_proved():
     """refine makes at most 3/4 of the jump-free path's Horner passes on
     proved one-root boxes: the isolation boxes of trace0_salem(100) to
     2^-16, as salem_check refines them, and trace0_salem(20)'s beta boxes
-    to 2^-2800, the --verify width at the relations refinement cap.  Where
+    to 2^-2800, the --verify width of `relations --precision 700`.  Where
     jumps stay off, in the window search's single `_alternates` steps and
     gap bisection, every halving costs one Horner pass."""
     calls = [0]
