@@ -40,7 +40,7 @@ class _InputError(ValueError):
 # caps on the size arguments, checked before any work starts: each command's
 # time and memory grow with them without limit (on 2 cores, seq --n 10**6
 # takes about 1.5 s, bad-degrees --max-degree 10**6 about 2.5 s and 5 MB of
-# output, trace0 --degree 400 about 1.6 s, or 3.6-3.9 s with --verify, which
+# output, trace0 --degree 400 about 0.2 s, or 0.9-1.5 s with --verify, which
 # factors its degree-200 trace polynomial).  The trace0 cap also bounds the
 # reciprocal polynomial, input or lift, of the trace-map commands
 _MAX_SEQ_N = 10 ** 6

@@ -16,22 +16,35 @@ quadratic interval refinement, which stay on the bisection grid and return
 the box bisection would, from a fraction of its Horner passes: the ten beta
 boxes of `trace0_salem(20)` reach width 2^-2800 from 240 evaluations in
 place of 27,850 (3.1 s -> 0.015 s on 2 cores, Python 3.11).
+
+A Salem trace polynomial's beta boxes are first sought without counting
+roots (`_placed_boxes`): float approximations of its roots choose cells of
+the bisection grid, and exact signs at the ends of s cells prove the
+placement and give the very boxes isolation and `refine` would.  Sturm
+counts run only where that proof fails.  Over trace0 8..100 the proof
+never fails, and `trace0_salem(400)` takes 0.08 s in place of 1.2 s (2
+cores, Python 3.11).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 from typing import Optional, Union
 
 from .polyarith import (IntPoly, _primitive_prs, _scaled_value, _sign,
-                        div_exact)
+                        div_exact, trace_lift)
 
 POS_INF = math.inf
 NEG_INF = -math.inf
 
 Point = Union[int, Fraction, float, None]
+
+# the float root guide's cosine table, 8 bytes an entry, stays below 8 MiB:
+# its first grid fits up to degree s = 507, its second up to s = 254
+_GRID_ENTRIES = 1 << 20
 
 
 class EndpointIsRootError(ValueError):
@@ -248,6 +261,156 @@ def _placement(p: IntPoly) -> tuple[int, int, int, int]:
     chain = _sqf_and_chain(p)[1]
     (s_lo, v_lo), (s_hi, v_hi) = _chain_at(chain, -2), _chain_at(chain, 2)
     return s_lo, s_hi, v_lo - v_hi, v_hi - _chain_at(chain, POS_INF)[1]
+
+
+def _clenshaw(c: list[float], y: float) -> tuple[float, float]:
+    """(g(y), g'(y)) in floats for g(y) = c[0] + 2*sum c[j]*T_j(y/2), the
+    cosine form of a trace polynomial: g(2cos t) = c[0] + 2*sum c[j]*cos jt
+    and g(2cosh t) = c[0] + 2*sum c[j]*cosh jt, where c[j] is coefficient
+    s + j of its trace lift.  d/dy 2*T_j(y/2) = j*U_(j-1)(y/2), so one
+    backward pass sums both series."""
+    b1 = b2 = d1 = d2 = 0.0
+    for j in range(len(c) - 1, 0, -1):
+        b1, b2 = c[j] + y * b1 - b2, b1
+        d1, d2 = j * c[j] + y * d1 - d2, d1
+    return c[0] + y * b1 - 2 * b2, d1
+
+
+def _newton(c: list[float], y: float, lo: float, hi: float, neg_lo: bool,
+            tol: float) -> float:
+    """Root of the cosine form c (`_clenshaw`) in (lo, hi), where its sign
+    at lo is negative iff neg_lo and the other at hi: Newton's method from
+    y, until a step is below tol, with a bisection wherever a step would
+    leave the bracket."""
+    for _ in range(64):
+        v, d = _clenshaw(c, y)
+        if (v < 0) == neg_lo:
+            lo = y
+        else:
+            hi = y
+        step = v / d if d else math.inf
+        if lo < y - step < hi:
+            y -= step
+            if abs(step) < tol:
+                break
+        else:
+            y = (lo + hi) / 2
+            if hi - lo < tol:
+                break
+    return y
+
+
+def _float_roots(g: IntPoly, bound: int,
+                 tol: float) -> Optional[list[float]]:
+    """Float approximations of the s roots of a monic g of degree s >= 2
+    whose roots are expected to sit as a Salem trace polynomial's do, one in
+    (2, bound) and s - 1 in (-2, 2), to within about tol; None when the
+    floats do not find them so (or overflow).  A guide only:
+    `_placed_boxes` proves whatever it keeps by exact signs.
+
+    The band roots are the t in (0, pi) where the cosine form of g
+    (`_clenshaw`) changes sign, on a grid of 4s + 32, then 16s + 32,
+    points whose cosines come from one table; `_newton` in y = 2cos t,
+    kept inside each grid bracket, closes on each.  The root beyond 2
+    starts from the trace, the sum of all s roots, less the band roots."""
+    s = len(g.coeffs) - 1
+    try:
+        c = [float(v) for v in trace_lift(g).coeffs[s:]]
+        top = float(bound)
+    except OverflowError:
+        return None
+    a = c[1:]
+    for n in (4 * s + 32, 16 * s + 32):
+        # cos(pi*m/n) for m < 2n, repeated so that the cosines of j*t_k,
+        # j = 1..s, are the slice [k : k*s + 1 : k]
+        if 2 * n * (s // 2 + 1) > _GRID_ENTRIES:
+            return None
+        table = [math.cos(math.pi * m / n) for m in range(2 * n)]
+        table *= s // 2 + 1
+        vals = [c[0] + 2 * sum(a)]
+        vals += [c[0] + 2 * sum(map(operator.mul, a, table[k:k * s + 1:k]))
+                 for k in range(1, n + 1)]
+        cuts = [k for k in range(n) if (vals[k] < 0) != (vals[k + 1] < 0)]
+        if len(cuts) == s - 1:
+            break
+    else:
+        return None
+    if not vals[0] < 0:
+        return None
+    band = []
+    for k in cuts:
+        # y falls as t rises: the bracket is (2cos t_(k+1), 2cos t_k)
+        lo, hi = 2 * table[k + 1], 2 * table[k]
+        v_lo, v_hi = vals[k + 1], vals[k]
+        y = lo + (hi - lo) * v_lo / (v_lo - v_hi)
+        band.append(_newton(c, y, lo, hi, v_lo < 0, tol))
+    # g(2) < 0 and g(bound) > 0 bracket the root beyond 2
+    y = -c[-2] - sum(band)
+    roots = [_newton(c, y if 2 < y < top else (2 + top) / 2, 2.0, top, True,
+                     tol)] + band
+    return roots if all(map(math.isfinite, roots)) else None
+
+
+def _placed_boxes(g: IntPoly, eps) -> Optional[list[RootBox]]:
+    """The beta boxes of a monic g of degree s >= 2 whose placement holds,
+    proved by s exact sign changes, or None; eps <= 1.
+
+    The boxes are the cells of the level-L bisection grid of
+    [-B, B], B = root_bound(g), L the least level with 2B/2^L < eps, that
+    hold g's roots: one strictly inside (2, oo) first, then s - 1 strictly
+    inside (-2, 2), descending.  Float approximations of the roots
+    (`_float_roots`) only choose the cells to test; each kept cell shows a
+    strict sign change of g in `_scaled_value` signs at its ends.  s
+    distinct such cells hold the s roots of the degree-s g one apiece, so g
+    is squarefree and its placement holds, and each cell is the box that
+    `isolate_roots` followed by `refine(., eps)` returns: with one root per
+    level-L cell, isolation stops at level L or a coarser one, and
+    refinement ends on the level-L cell, over the denominator 2^(L-1).
+    Bisection meets no root exactly: B is odd, so 0 is the only integer
+    grid point inside (-B, B), and a monic g has only integer rational
+    roots.  None means one of the tests
+    failed: g(0) == 0, a cell straddles 2 or -2, two roots share a cell, or
+    the floats overflow; the caller then counts roots on Sturm chains.
+    """
+    coeffs = g.coeffs
+    s = len(coeffs) - 1
+    if s < 2 or coeffs[-1] != 1 or coeffs[0] == 0:
+        return None
+    bound = root_bound(g)
+    eps = Fraction(eps)
+    level = (2 * bound * eps.denominator // eps.numerator).bit_length()
+    half = 1 << (level - 1)
+    cell = bound / half
+    guesses = _float_roots(g, bound, cell / 16)
+    if guesses is None:
+        return None
+    signs = {}
+
+    def sign(i):
+        # sign of g at grid point i, -B + i*B/2^(L-1)
+        if i not in signs:
+            signs[i] = _sign(_scaled_value(coeffs, bound * (i - half), half))
+        return signs[i]
+
+    found = set()
+    for y in guesses:
+        x = (y + bound) / cell
+        i = min(max(math.floor(x), 0), 2 * half - 1)
+        if sign(i) * sign(i + 1) >= 0:
+            i = i - 1 if x - i < 0.5 else i + 1
+            if not 0 <= i < 2 * half or sign(i) * sign(i + 1) >= 0:
+                return None
+        found.add(i)
+    cells = sorted(found, reverse=True)
+    if len(cells) != s:
+        return None
+    # numerators over 2^(L-1): cell i runs from bound*(i - half) up by bound
+    ends = [(bound * (i - half), bound * (i - half) + bound) for i in cells]
+    if not (ends[0][0] > 2 * half and ends[1][1] < 2 * half
+            and ends[-1][0] > -2 * half):
+        return None
+    return [RootBox._from_ends(g, ln, hn, half, one_root=True)
+            for ln, hn in ends]
 
 
 def _kth_root_ceil(m: int, k: int) -> int:

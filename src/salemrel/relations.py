@@ -40,8 +40,9 @@ _MAX_PRECISION_BITS = 1024
 # sum |m_j| <= 11 (9.2 million vectors), takes about 8 s
 _MAX_SCREEN_VECTORS = 10 ** 7
 # the price (`realroots._refine_cost`, in microseconds) of refining the beta
-# boxes for the screen and again for `relations --verify`: the work it
-# admits took at most about 3 s on 2 cores (150 betas at 128 bits)
+# boxes for the screen, and for find_relations again for `relations
+# --verify`: the work it admits took at most about 3 s on 2 cores (150
+# betas at 128 bits)
 _MAX_REFINE_WORK = 8_000_000
 
 CERTIFIED_TRACE = "certified_trace"
@@ -284,19 +285,21 @@ def _integer_ends(boxes):
             [b.hn * (den // b.den) for b in boxes], den)
 
 
-def _survivors(cert: SalemCertificate, max_sum: int, precision_bits: int):
+def _survivors(cert: SalemCertificate, max_sum: int, precision_bits: int,
+               verify_bits: int = 0):
     """The primitive reduced vectors with sum |m_j| <= max_sum and positive
     first nonzero entry whose beta sum encloses 0 on boxes of width
     2^-(2*precision_bits), as a lazy iterator in lexicographic order.
 
     The screen's size is checked against _MAX_SCREEN_VECTORS, and the
-    price of refining the boxes to this width and to 2^-(4*precision_bits),
-    as `relations --verify` does, against _MAX_REFINE_WORK, before any box
-    is refined.  One walk over the vector tree carries each vector's
-    interval sum as integer numerators over the boxes' common denominator,
-    built from its parent's sum with one multiply-add per endpoint.  Finer
-    boxes could not change a verdict: `refine` nests them inside these, and
-    a sum that misses 0 here misses it there.
+    price of refining the boxes to this width, and to 2^-verify_bits for
+    the caller's later check when verify_bits is positive, against
+    _MAX_REFINE_WORK, before any box is refined.  One walk over the vector
+    tree carries each vector's interval sum as integer numerators over the
+    boxes' common denominator, built from its parent's sum with one
+    multiply-add per endpoint.  Finer boxes could not change a verdict:
+    `refine` nests them inside these, and a sum that misses 0 here misses
+    it there.
     """
     s = len(cert.beta_boxes)
     count = _screen_size(s, max_sum)
@@ -304,8 +307,9 @@ def _survivors(cert: SalemCertificate, max_sum: int, precision_bits: int):
         raise ValueError(
             f"screen of {count} reduced vectors exceeds the cap of "
             f"{_MAX_SCREEN_VECTORS}; lower the length bound")
-    work = (_refine_cost(s, 2 * precision_bits)
-            + _refine_cost(s, 4 * precision_bits))
+    work = _refine_cost(s, 2 * precision_bits)
+    if verify_bits:
+        work += _refine_cost(s, verify_bits)
     if work > _MAX_REFINE_WORK:
         raise ValueError(
             f"refining {s} beta boxes at {precision_bits} bits costs {work} "
@@ -369,7 +373,9 @@ def find_relations(cert: SalemCertificate, max_length: int,
         raise ValueError(
             f"precision_bits must be in [1, {_MAX_PRECISION_BITS}]")
     reports = []
-    for reduced in _survivors(cert, max_length // 2, precision_bits):
+    # priced with the finer refinement of `relations --verify`
+    for reduced in _survivors(cert, max_length // 2, precision_bits,
+                              4 * precision_bits):
         status = _certify_reduced(cert, reduced)
         nontrivial = not all(c == reduced[0] for c in reduced)
         reports.append(RelationReport(vector=_interleave(reduced),
@@ -384,8 +390,9 @@ def find_relations(cert: SalemCertificate, max_length: int,
 def min_length_scan(cert: SalemCertificate, bound: int) -> bool:
     """True when no nontrivial relation of conjugate-level length below the
     bound survives screening at 128-bit precision; stops at the first one
-    that does.  The screen's size and refinement cost are capped as in
-    find_relations."""
+    that does.  The screen's size is capped as in find_relations, and its
+    price is that of the screen's own refinement, to 2^-256: the scan makes
+    no finer one."""
     if not 1 <= bound <= MAX_LENGTH_LIMIT:
         raise ValueError(f"bound must be in [1, {MAX_LENGTH_LIMIT}]")
     return all(len(set(reduced)) == 1

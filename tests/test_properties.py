@@ -1,7 +1,8 @@
 """Property tests: exact root counting against isolation, the integer
 evaluation kernel of realroots (interval Horner, bisection and its
 quadratic-interval-refinement jumps, Sturm sign variations, the placement
-reading) and the window search's pruning bounds against
+reading, the float-guided beta boxes against the Sturm path's) and the
+window search's pruning bounds against
 rational-arithmetic references, the canonical print form against the
 parser, exact division against rational long division, modular
 division by a monic divisor modulo composite moduli, the Kronecker
@@ -481,6 +482,79 @@ def test_placement_matches_sign_tests_and_counts(coeffs):
     if s_lo and s_hi:
         assert (n_band, n_up) == (count_roots(g, -2, 2),
                                   count_roots(g, 2, None))
+
+
+def _sturm_beta_boxes(g: IntPoly, eps: Fraction) -> list:
+    """salem_check's beta boxes from g's Sturm chain: isolate, refine to
+    eps, descending, confined to (2, oo) and (-2, 2): the reference for
+    `_placed_boxes`."""
+    boxes = [refine(b, eps) for b in isolate_roots(g)][::-1]
+    boxes[0] = salemkit._confine(boxes[0], 2, None)
+    boxes[1:] = [salemkit._confine(b, -2, 2) for b in boxes[1:]]
+    return boxes
+
+
+def _chebyshev_u(n: int) -> IntPoly:
+    """U_n(x/2): monic, with its n roots 2cos(k*pi/(n + 1)) in (-2, 2)."""
+    prev, cur = IntPoly((1,)), IntPoly((1,))
+    for _ in range(n):
+        prev, cur = cur, IntPoly((0, 1)) * cur - prev
+    return cur
+
+
+# (x - b) * U_(s-1)(x/2) + e, |e| <= 2 of degree below s: near the shape of
+# a Salem trace polynomial, one root beyond 2 and s - 1 in (-2, 2), which
+# the perturbation keeps or breaks
+_salem_like = st.tuples(
+    st.integers(2, 9), st.integers(3, 9),
+    st.lists(st.integers(-2, 2), min_size=9, max_size=9),
+).map(lambda t: IntPoly((-t[1], 1)) * _chebyshev_u(t[0] - 1)
+      + IntPoly(tuple(t[2][:t[0]])))
+
+_EPS16 = Fraction(1, 1 << 16)
+# g(0) == 0: 0 is a grid point, so the guide steps aside
+_ZERO_AT_0 = IntPoly((0, -3, 1))
+# (x - 2)(x + 1)(x - 2^20) - 1: a root 3.2e-7 below 2, in the cell that
+# holds 2
+_NEAR_TWO = (IntPoly((-2, 1)) * IntPoly((1, 1)) * IntPoly((-(1 << 20), 1))
+             - IntPoly((1,)))
+# x^3 - 2(2^10 x - 1)^2, Mignotte's kind: two roots 4e-8 apart near 2^-10
+_MIGNOTTE = IntPoly((-2, 4 << 10, -2 << 20, 1))
+# coefficients near 10^400, past the float range
+_HUGE = IntPoly((10 ** 400 + 1, 10 ** 400 - 1, -(10 ** 400 + 1), 1))
+
+
+@_PROPERTY
+@given(_salem_like)
+@example(_ZERO_AT_0)
+@example(_NEAR_TWO)
+@example(_MIGNOTTE)
+@example(IntPoly((1, -3, 1)))  # s = 2
+@example(_HUGE)
+def test_placed_boxes_match_the_sturm_path(g):
+    """`_placed_boxes` returns None or exactly salem_check's Sturm-path
+    boxes, and only where the Sturm counts confirm the placement."""
+    boxes = realroots._placed_boxes(g, _EPS16)
+    if boxes is None:
+        return
+    s_lo, s_hi, n_band, n_up = realroots._placement(g)
+    assert s_lo and s_hi and (n_band, n_up) == (g.degree - 1, 1)
+    assert [(b.ln, b.hn, b.den, b._one_root) for b in boxes] == [
+        (b.ln, b.hn, b.den, b._one_root)
+        for b in _sturm_beta_boxes(g, _EPS16)]
+
+
+def test_placed_boxes_decline_what_their_cells_cannot_prove():
+    # each input's placement holds, so only the guide's own tests refuse
+    for g in (_ZERO_AT_0, _NEAR_TWO, _MIGNOTTE, _HUGE):
+        s_lo, s_hi, n_band, n_up = realroots._placement(g)
+        assert s_lo and s_hi and (n_band, n_up) == (g.degree - 1, 1)
+        assert realroots._placed_boxes(g, _EPS16) is None
+    assert realroots._placed_boxes(IntPoly((1, -3, 1)), _EPS16) is not None
+    # g(0) == 0 is refused before any float work
+    with mock.patch.object(realroots, "_float_roots") as guide:
+        assert realroots._placed_boxes(_ZERO_AT_0, _EPS16) is None
+    guide.assert_not_called()
 
 
 def test_isolate_roots_evaluates_each_point_once():

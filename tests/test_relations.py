@@ -2,11 +2,13 @@ import inspect
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
+from salemrel.parsing import parse_poly
 from salemrel.polyarith import (IntPoly, norm_form, pair_sum_trace_poly,
                                 trace_lift)
 from salemrel import relations
@@ -442,6 +444,16 @@ def test_screen_size_matches_brute_force():
                                                       repeat=s)
                          if sum(map(abs, m)) <= r)
             assert _screen_size(s, r) == (points - 1) // 2
+
+
+def test_min_length_scan_prices_only_its_own_refinement():
+    # the scan refines 200 beta boxes to 2^-256 and no further; priced as
+    # if it also made the 2^-512 refinement of `relations --verify`, it was
+    # refused at 16956400 work units
+    cert = salem_check(parse_poly("x^400-x^398-x^397-x^3-x^2+1"))
+    start = time.perf_counter()
+    assert min_length_scan(cert, 3)
+    assert time.perf_counter() - start <= 3
 
 
 def test_screen_size_capped_before_refinement(monkeypatch):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from salemrel import salemkit
+from salemrel import realroots, salemkit
 from salemrel.cyclo import cyclotomic, seq_poly
 from salemrel.factorint import is_irreducible
 from salemrel.polyarith import (IntPoly, _scaled_value, _sign, pair_sum_lift,
@@ -437,6 +437,61 @@ def test_trace0_rejects_bad_degree():
     for d in (4, 5, 7, 0, -6):
         with pytest.raises(ValueError):
             trace0_salem(d)
+
+
+def _trace0_digest() -> str:
+    """sha256 of trace0 6..100: each degree's rejected family attempts and
+    its certificate's alpha and beta boxes as integer ends."""
+    rows = []
+    for d in range(6, 101, 2):
+        detail = trace0_salem_detail(d)
+        cert = detail.certificate
+        rows.append((detail.attempts, [(b.ln, b.hn, b.den)
+                                       for b in (cert.alpha,
+                                                 *cert.beta_boxes)]))
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def _chain_lookups() -> int:
+    info = realroots._sqf_and_chain.cache_info()
+    return info.hits + info.misses
+
+
+def test_trace0_boxes_do_not_rest_on_the_float_guide(monkeypatch):
+    # floats only choose which grid cells to test: a guide that misplaces
+    # every root, or names one root twice and another not at all, sends
+    # salem_check to the Sturm path, one that reorders the roots still
+    # places them, and the boxes stay the same either way
+    digest = _trace0_digest()
+    guide = realroots._float_roots
+
+    def shifted(g, bound, tol):
+        roots = guide(g, bound, tol)
+        return roots and [y + 1e-3 for y in roots]
+
+    def doubled(g, bound, tol):
+        roots = guide(g, bound, tol)
+        return roots and roots[:-1] + roots[-2:-1]
+
+    def reversed_(g, bound, tol):
+        roots = guide(g, bound, tol)
+        return roots and roots[::-1]
+
+    for mutant, sturm_used in ((shifted, True), (doubled, True),
+                               (reversed_, False)):
+        monkeypatch.setattr(realroots, "_float_roots", mutant)
+        realroots._sqf_and_chain.cache_clear()
+        assert _trace0_digest() == digest
+        assert (_chain_lookups() > 0) == sturm_used
+
+
+def test_trace0_8_to_100_builds_no_sturm_chain():
+    # the guide places every trace polynomial trace0 8..100 tries, rejected
+    # family attempts included, so a silent fallback would show here
+    realroots._sqf_and_chain.cache_clear()
+    for d in range(8, 101, 2):
+        trace0_salem_detail(d)
+    assert _chain_lookups() == 0
 
 
 # -- degrees where each family fails ----------------------------------------------------
