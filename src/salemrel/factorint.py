@@ -44,7 +44,7 @@ from fractions import Fraction
 from .cyclo import _cyclotomic_split, cyclotomic
 from .polyarith import (IntPoly, _divisors, _is_prime, _signed_content,
                         div_exact, poly_gcd, trace_project)
-from .realroots import _placed_boxes, _placement
+from .realroots import _placement
 
 
 class DegreeTooLargeError(ValueError):
@@ -494,18 +494,13 @@ def _placed_irreducible(f: IntPoly) -> bool:
     reciprocal, of degree 2s, and g = trace_project(f) has g(-2), g(2)
     nonzero, s - 1 distinct roots in (-2, 2) and one in (2, oo); s distinct
     roots of the degree-s g prove it squarefree.  f must have no cyclotomic
-    factor; `factor` tests only the parts of its cofactor.  Exact sign
-    changes of g at s float-guided grid cells (`realroots._placed_boxes`)
-    prove it; otherwise the cached Sturm chain of g, read once at each of
-    -2, 2 and +oo (`realroots._placement`), decides it.
+    factor; `factor` tests only the parts of its cofactor.  The cached
+    Sturm chain of g, read once at each of -2, 2 and +oo
+    (`realroots._placement`), decides it.
     """
     if not f.is_monic or f.degree & 1 or f.reciprocal() != f:
         return False
     g = trace_project(f)
-    # any cell width up to 1 proves the placement; salem_check's 2^-16
-    # separates the roots of every trace polynomial trace0 certifies
-    if _placed_boxes(g, Fraction(1, 1 << 16)) is not None:
-        return True
     s_lo, s_hi, n_band, n_up = _placement(g)
     return s_lo != 0 and s_hi != 0 and n_band == g.degree - 1 and n_up == 1
 

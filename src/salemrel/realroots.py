@@ -370,7 +370,7 @@ def _placed_boxes(g: IntPoly, eps) -> Optional[list[RootBox]]:
     grid point inside (-B, B), and a monic g has only integer rational
     roots.  None means one of the tests
     failed: g(0) == 0, a cell straddles 2 or -2, two roots share a cell, or
-    the floats overflow; the caller then counts roots on Sturm chains.
+    the floats overflow; `_beta_boxes` then counts roots on Sturm chains.
     """
     coeffs = g.coeffs
     s = len(coeffs) - 1
@@ -395,6 +395,9 @@ def _placed_boxes(g: IntPoly, eps) -> Optional[list[RootBox]]:
     found = set()
     for y in guesses:
         x = (y + bound) / cell
+        if not math.isfinite(x):
+            # a bound near the float range over a cell below 1
+            return None
         i = min(max(math.floor(x), 0), 2 * half - 1)
         if sign(i) * sign(i + 1) >= 0:
             i = i - 1 if x - i < 0.5 else i + 1
@@ -411,6 +414,41 @@ def _placed_boxes(g: IntPoly, eps) -> Optional[list[RootBox]]:
         return None
     return [RootBox._from_ends(g, ln, hn, half, one_root=True)
             for ln, hn in ends]
+
+
+def _confine(box: RootBox, lo: int, hi) -> RootBox:
+    """Refine until the box lies strictly inside (lo, hi); hi may be None.
+    An exact box is returned as it is."""
+    while box.ln < box.hn and (box.ln <= lo * box.den or (
+            hi is not None and box.hn >= hi * box.den)):
+        box = refine(box, box.width / 2)
+    return box
+
+
+def _beta_boxes(g: IntPoly, eps) -> Union[list[RootBox],
+                                          tuple[int, int, int, int]]:
+    """The beta boxes of a monic g whose placement holds, one root in
+    (2, oo) and the other s - 1 in (-2, 2): boxes of width below eps <= 1,
+    the first strictly inside (2, oo), the rest strictly inside (-2, 2),
+    descending.  Where the placement fails, or holds with g(0) == 0, the
+    `_placement` counts in place of boxes: such a g = x*h is reducible, so
+    no caller needs its boxes.
+
+    Exact sign changes at float-guided grid cells (`_placed_boxes`) prove
+    the placement when they can; otherwise g's Sturm chain counts its roots
+    (`_placement`), and isolation, `refine` and `_confine` give the boxes,
+    the same ones wherever both paths place g."""
+    boxes = _placed_boxes(g, eps)
+    if boxes is not None:
+        return boxes
+    counts = s_lo, s_hi, n_band, n_up = _placement(g)
+    placed = s_lo and s_hi and n_band == g.degree - 1 and n_up == 1
+    if not placed or g[0] == 0:
+        return counts
+    boxes = [refine(b, eps) for b in isolate_roots(g)][::-1]
+    boxes[0] = _confine(boxes[0], 2, None)
+    boxes[1:] = [_confine(b, -2, 2) for b in boxes[1:]]
+    return boxes
 
 
 def _kth_root_ceil(m: int, k: int) -> int:

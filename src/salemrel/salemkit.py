@@ -5,8 +5,8 @@ number exactly when it is irreducible and its trace polynomial g (with
 f(x) = x^s g(x + 1/x)) has one root in (2, oo) and s-1 roots in (-2, 2); the
 root beyond 2 is beta_1 = alpha + 1/alpha.  Every verdict rests on exact
 rational arithmetic: root placement by s strict sign changes of g at the
-ends of disjoint grid cells, which floats only help to find
-(`realroots._placed_boxes`), or else by Sturm counts; irreducibility of a
+ends of disjoint grid cells, which floats only help to find, or else by
+Sturm counts (`realroots._beta_boxes`); irreducibility of a
 placed g by Kronecker's theorem (a reducible one has a cyclotomic factor,
 found by gcds, with no factorization); alpha bracketed through interval
 arithmetic on beta_1.
@@ -22,9 +22,8 @@ from fractions import Fraction
 from .cyclo import SalemSeq, seq_poly, cyclotomic_progressions, ProgressionSet
 from .polyarith import (IntPoly, _scaled_value, _sign, pair_sum_lift,
                         poly_gcd, trace, trace_lift, trace_project)
-from .realroots import (RootBox, _bisect, _placed_boxes, _placement,
-                        _scaled_range, cubic_salem_split, isolate_roots,
-                        refine, sqrt_interval)
+from .realroots import (RootBox, _beta_boxes, _bisect, _scaled_range,
+                        cubic_salem_split, refine, sqrt_interval)
 
 _BETA_WIDTH = Fraction(1, 1 << 16)
 # window search: width below which critical boxes stop being bisected
@@ -74,15 +73,6 @@ class SalemCertificate:
 
 class ConstructionFailed(RuntimeError):
     """A construction that is guaranteed to succeed did not (internal bug)."""
-
-
-def _confine(box: RootBox, lo: int, hi) -> RootBox:
-    """Refine until the box lies strictly inside (lo, hi); hi may be None.
-    An exact box is returned as it is."""
-    while box.ln < box.hn and (box.ln <= lo * box.den or (
-            hi is not None and box.hn >= hi * box.den)):
-        box = refine(box, box.width / 2)
-    return box
 
 
 def _alpha_box(f: IntPoly, beta1: RootBox) -> RootBox:
@@ -164,9 +154,9 @@ def salem_check(f: IntPoly):
         return RejectionReason(RejectionKind.DEGREE_TOO_SMALL)
     g = trace_project(f)
     s = f.degree // 2
-    boxes = _placed_boxes(g, _BETA_WIDTH)
-    if boxes is None:
-        s_lo, s_hi, n_band, n_up = _placement(g)
+    boxes = _beta_boxes(g, _BETA_WIDTH)
+    if isinstance(boxes, tuple):
+        s_lo, s_hi, n_band, n_up = boxes
         if s_lo == 0 or s_hi == 0:
             return RejectionReason(RejectionKind.ROOT_WINDOW_VIOLATION,
                                    "root at the window boundary")
@@ -176,21 +166,17 @@ def salem_check(f: IntPoly):
         if n_band != s - 1:
             return RejectionReason(RejectionKind.ROOT_WINDOW_VIOLATION,
                                    f"{n_band} roots in (-2,2) (need {s - 1})")
+        # placed without boxes: g(0) == 0, so x divides g
+        return RejectionReason(RejectionKind.REDUCIBLE)
     return _certify_placed(f, g, boxes)
 
 
-def _certify_placed(f: IntPoly, g: IntPoly, boxes):
+def _certify_placed(f: IntPoly, g: IntPoly, boxes: list[RootBox]):
     """salem_check's verdict on a monic reciprocal f of degree >= 4 whose
-    trace polynomial g has passed the placement test.  boxes are g's beta
-    boxes from `_placed_boxes`, or None to isolate them on g's Sturm
-    chain."""
+    trace polynomial g has passed the placement test with the beta boxes
+    boxes (`realroots._beta_boxes`)."""
     if _placed_reducible(g):
         return RejectionReason(RejectionKind.REDUCIBLE)
-    if boxes is None:
-        boxes = [refine(b, _BETA_WIDTH) for b in isolate_roots(g)]
-        boxes.reverse()
-        boxes[0] = _confine(boxes[0], 2, None)
-        boxes[1:] = [_confine(b, -2, 2) for b in boxes[1:]]
     alpha = _alpha_box(f, boxes[0])
     return SalemCertificate(minpoly=f, degree=f.degree, trace=trace(f),
                             alpha=alpha, trace_poly=g,
@@ -203,16 +189,18 @@ def build_salem_from_trace_poly(g: IntPoly):
     remaining tests only its degree bound is left to apply."""
     if g.is_zero or not g.is_monic or g.degree < 1:
         raise ValueError("monic polynomial of degree >= 1 required")
-    boxes = _placed_boxes(g, _BETA_WIDTH)
-    if boxes is None:
-        s_lo, s_hi, n_band, n_up = _placement(g)
+    boxes = _beta_boxes(g, _BETA_WIDTH)
+    if isinstance(boxes, tuple):
+        s_lo, s_hi, n_band, n_up = boxes
         if s_lo == 0 or s_hi == 0:
             return RejectionReason(RejectionKind.ROOT_WINDOW_VIOLATION,
                                    "root at the window boundary")
         if n_up != 1 or n_band != g.degree - 1:
             return RejectionReason(RejectionKind.ROOT_WINDOW_VIOLATION)
-        if g.degree < 2:
-            return RejectionReason(RejectionKind.DEGREE_TOO_SMALL)
+        # placed without boxes: g(0) == 0, so x divides g and g.degree >= 2
+        return RejectionReason(RejectionKind.REDUCIBLE)
+    if g.degree < 2:
+        return RejectionReason(RejectionKind.DEGREE_TOO_SMALL)
     return _certify_placed(trace_lift(g), g, boxes)
 
 

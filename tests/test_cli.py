@@ -183,6 +183,23 @@ def test_salem_check_huge_coefficients(capsys):
     assert len(doc["certificates"]) == 1
 
 
+def test_salem_check_root_bound_near_the_float_range(capsys):
+    # g = x^2 - 10^304 x + 1 has float coefficients, but its root bound over
+    # a 2^-17 grid cell overflows a float: the Sturm path certifies it, and
+    # the digests are of the output it gives, plain and --json
+    f = trace_lift(IntPoly((1, -10 ** 304, 1)))
+    arg = "[" + ",".join(map(str, f.coeffs)) + "]"
+    for extra, digest in (
+            ([], "e0b1bae51d3b5321449d4d360566edce"
+                 "81c2cb4d717c67a8120a75b48243002e"),
+            (["--json"], "842c500aebfdedaac4c2dbd835f80a92"
+                         "858a4ddd6ab07c13383ede23cda7e065")):
+        assert cli.run(["salem-check", arg] + extra) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+
 def test_salem_check_verify_skips_costly_oracle(capsys):
     # the factorization oracle would trial-divide values near 10^21
     r = 10 ** 20

@@ -489,8 +489,8 @@ def _sturm_beta_boxes(g: IntPoly, eps: Fraction) -> list:
     eps, descending, confined to (2, oo) and (-2, 2): the reference for
     `_placed_boxes`."""
     boxes = [refine(b, eps) for b in isolate_roots(g)][::-1]
-    boxes[0] = salemkit._confine(boxes[0], 2, None)
-    boxes[1:] = [salemkit._confine(b, -2, 2) for b in boxes[1:]]
+    boxes[0] = realroots._confine(boxes[0], 2, None)
+    boxes[1:] = [realroots._confine(b, -2, 2) for b in boxes[1:]]
     return boxes
 
 
@@ -522,6 +522,8 @@ _NEAR_TWO = (IntPoly((-2, 1)) * IntPoly((1, 1)) * IntPoly((-(1 << 20), 1))
 _MIGNOTTE = IntPoly((-2, 4 << 10, -2 << 20, 1))
 # coefficients near 10^400, past the float range
 _HUGE = IntPoly((10 ** 400 + 1, 10 ** 400 - 1, -(10 ** 400 + 1), 1))
+# float coefficients, but the root bound over a 2^-17 cell overflows
+_WIDE = IntPoly((1, -10 ** 304, 1))
 
 
 @_PROPERTY
@@ -531,22 +533,30 @@ _HUGE = IntPoly((10 ** 400 + 1, 10 ** 400 - 1, -(10 ** 400 + 1), 1))
 @example(_MIGNOTTE)
 @example(IntPoly((1, -3, 1)))  # s = 2
 @example(_HUGE)
+@example(_WIDE)
 def test_placed_boxes_match_the_sturm_path(g):
     """`_placed_boxes` returns None or exactly salem_check's Sturm-path
-    boxes, and only where the Sturm counts confirm the placement."""
+    boxes, and only where the Sturm counts confirm the placement;
+    `_beta_boxes` returns those boxes wherever the placement holds and
+    g(0) != 0, and the counts elsewhere."""
+    def ends(boxes):
+        return [(b.ln, b.hn, b.den, b._one_root) for b in boxes]
+
+    counts = s_lo, s_hi, n_band, n_up = realroots._placement(g)
+    placed = s_lo and s_hi and (n_band, n_up) == (g.degree - 1, 1)
     boxes = realroots._placed_boxes(g, _EPS16)
-    if boxes is None:
+    either = realroots._beta_boxes(g, _EPS16)
+    if not placed or g[0] == 0:
+        assert boxes is None and either == counts
         return
-    s_lo, s_hi, n_band, n_up = realroots._placement(g)
-    assert s_lo and s_hi and (n_band, n_up) == (g.degree - 1, 1)
-    assert [(b.ln, b.hn, b.den, b._one_root) for b in boxes] == [
-        (b.ln, b.hn, b.den, b._one_root)
-        for b in _sturm_beta_boxes(g, _EPS16)]
+    sturm = ends(_sturm_beta_boxes(g, _EPS16))
+    assert ends(either) == sturm
+    assert boxes is None or ends(boxes) == sturm
 
 
 def test_placed_boxes_decline_what_their_cells_cannot_prove():
     # each input's placement holds, so only the guide's own tests refuse
-    for g in (_ZERO_AT_0, _NEAR_TWO, _MIGNOTTE, _HUGE):
+    for g in (_ZERO_AT_0, _NEAR_TWO, _MIGNOTTE, _HUGE, _WIDE):
         s_lo, s_hi, n_band, n_up = realroots._placement(g)
         assert s_lo and s_hi and (n_band, n_up) == (g.degree - 1, 1)
         assert realroots._placed_boxes(g, _EPS16) is None

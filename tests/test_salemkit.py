@@ -458,10 +458,12 @@ def _chain_lookups() -> int:
 
 
 def test_trace0_boxes_do_not_rest_on_the_float_guide(monkeypatch):
-    # floats only choose which grid cells to test: a guide that misplaces
-    # every root, or names one root twice and another not at all, sends
-    # salem_check to the Sturm path, one that reorders the roots still
-    # places them, and the boxes stay the same either way
+    # floats only choose which grid cells to test: the guide itself, or one
+    # that reorders the roots, places every trace polynomial trace0 6..100
+    # tries, rejected family attempts included, with no Sturm chain, so a
+    # silent fallback would show here; one that misplaces every root, or
+    # names one root twice and another not at all, sends salem_check to the
+    # Sturm path; the boxes stay the same either way
     digest = _trace0_digest()
     guide = realroots._float_roots
 
@@ -477,21 +479,12 @@ def test_trace0_boxes_do_not_rest_on_the_float_guide(monkeypatch):
         roots = guide(g, bound, tol)
         return roots and roots[::-1]
 
-    for mutant, sturm_used in ((shifted, True), (doubled, True),
-                               (reversed_, False)):
+    for mutant, sturm_used in ((guide, False), (shifted, True),
+                               (doubled, True), (reversed_, False)):
         monkeypatch.setattr(realroots, "_float_roots", mutant)
         realroots._sqf_and_chain.cache_clear()
         assert _trace0_digest() == digest
         assert (_chain_lookups() > 0) == sturm_used
-
-
-def test_trace0_8_to_100_builds_no_sturm_chain():
-    # the guide places every trace polynomial trace0 8..100 tries, rejected
-    # family attempts included, so a silent fallback would show here
-    realroots._sqf_and_chain.cache_clear()
-    for d in range(8, 101, 2):
-        trace0_salem_detail(d)
-    assert _chain_lookups() == 0
 
 
 # -- degrees where each family fails ----------------------------------------------------
