@@ -271,26 +271,29 @@ def _order_divides_members(seq: SalemSeq, order: int, ns) -> set[int]:
     return residues
 
 
-def _sporadic_extra_unit_root(seq: SalemSeq) -> list[tuple[int, int]]:
-    """Indices where the divided sequence keeps a factor x-1, i.e. where
-    (x-1)^2 divides the undivided member: the derivative condition at 1 is
-    affine in n, so there is at most one such index.  Needs f(1) != 0; the
-    caller handles f(1) == 0 as a periodic all-or-nothing entry."""
-    f, eps = seq.f, seq.eps
-    fs = seq.f_reversed
+def _extra_unit_root(seq: SalemSeq) -> tuple[list[ProgressionEntry],
+                                              list[tuple[int, int]]]:
+    """(entries, sporadic) for the indices where the divided sequence keeps
+    a factor x-1, i.e. where (x-1)^2 divides x^n*f + eps*f~.  With a = f(1)
+    and b = f'(1) + eps*f~'(1), that is where the derivative at 1, a*n + b,
+    vanishes: at every n when a == b == 0 (one periodic entry), at no n
+    when only a == 0, and otherwise at n = -b/a alone, if that is an
+    integer >= 2 (one sporadic index)."""
+    f, fs = seq.f, seq.f_reversed
     a = f.eval_int(1)
-    b = f.derivative().eval_int(1) + eps * fs.derivative().eval_int(1)
+    b = f.derivative().eval_int(1) + seq.eps * fs.derivative().eval_int(1)
+    if a == 0:
+        return [ProgressionEntry(1, frozenset({0}))] if b == 0 else [], []
     n0 = Fraction(-b, a)
-    if n0.denominator == 1 and n0 >= 2:
-        return [(1, int(n0))]
-    return []
+    return [], [(1, int(n0))] if n0.denominator == 1 and n0 >= 2 else []
 
 
 def cyclotomic_progressions(seq: SalemSeq) -> ProgressionSet:
     """Progressions of indices n where each candidate cyclotomic order hits.
 
     For orders coprime to f the one-period scan extends to all n >= 2; the
-    order-1 factor on divided sequences is the sporadic derivative condition.
+    order-1 factor on divided sequences is the derivative condition at 1
+    (`_extra_unit_root`).
     """
     cands = cyclotomic_candidates(seq)
     lo, hi = VALIDATED_RANGE
@@ -299,14 +302,9 @@ def cyclotomic_progressions(seq: SalemSeq) -> ProgressionSet:
     exhaustive = cands.exhaustive
     for order in cands.orders:
         if order == 1 and seq.divide_by_x_minus_1:
-            f, fs = seq.f, seq.f_reversed
-            if f.eval_int(1) == 0:
-                b = (f.derivative().eval_int(1)
-                     + seq.eps * fs.derivative().eval_int(1))
-                if b == 0:
-                    entries.append(ProgressionEntry(1, frozenset({0})))
-                continue
-            sporadic.extend(_sporadic_extra_unit_root(seq))
+            extra, extra_sporadic = _extra_unit_root(seq)
+            entries += extra
+            sporadic += extra_sporadic
             continue
         phi_l = cyclotomic(order)
         if poly_gcd(seq.f, phi_l).degree >= 1:

@@ -54,7 +54,7 @@ class _Scanner:
     def natural(self, what: str) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             raise _syntax_error(self.text, start, f"expected {what}")
@@ -117,7 +117,7 @@ def parse_poly(text: str) -> IntPoly:
         sc.skip_ws()
         term_start = sc.pos
         coeff = None
-        if sc.pos < len(text) and text[sc.pos].isdigit():
+        if sc.pos < len(text) and text[sc.pos].isdecimal():
             coeff = sc.natural("integer")
         power = 0
         if sc.peek() == "x":

@@ -253,14 +253,21 @@ def count_roots(p: IntPoly, lo: Point, hi: Point) -> int:
     return va - vb
 
 
-def _placement(p: IntPoly) -> tuple[int, int, int, int]:
-    """(sign at -2, sign at 2, roots in (-2, 2), roots in (2, oo)) of the
-    squarefree part of p, from its cached Sturm chain read once at each of
-    -2, 2 and +oo.  The counts mean something only when both signs are
-    nonzero."""
-    chain = _sqf_and_chain(p)[1]
+def _misplacement(g: IntPoly) -> str:
+    """Why the placement of g fails, in the words salem_check rejects
+    with, or "" when it holds: g(-2) and g(2) nonzero, one distinct root
+    in (2, oo) and deg g - 1 in (-2, 2).  The cached Sturm chain of
+    g's squarefree part is read once at each of -2, 2 and +oo."""
+    chain = _sqf_and_chain(g)[1]
     (s_lo, v_lo), (s_hi, v_hi) = _chain_at(chain, -2), _chain_at(chain, 2)
-    return s_lo, s_hi, v_lo - v_hi, v_hi - _chain_at(chain, POS_INF)[1]
+    if s_lo == 0 or s_hi == 0:
+        return "root at the window boundary"
+    n_up = v_hi - _chain_at(chain, POS_INF)[1]
+    if n_up != 1:
+        return f"{n_up} roots beyond 2 (need exactly 1)"
+    if v_lo - v_hi != g.degree - 1:
+        return f"{v_lo - v_hi} roots in (-2,2) (need {g.degree - 1})"
+    return ""
 
 
 def _clenshaw(c: list[float], y: float) -> tuple[float, float]:
@@ -425,26 +432,26 @@ def _confine(box: RootBox, lo: int, hi) -> RootBox:
     return box
 
 
-def _beta_boxes(g: IntPoly, eps) -> Union[list[RootBox],
-                                          tuple[int, int, int, int]]:
+def _beta_boxes(g: IntPoly, eps) -> Union[list[RootBox], str]:
     """The beta boxes of a monic g whose placement holds, one root in
     (2, oo) and the other s - 1 in (-2, 2): boxes of width below eps <= 1,
     the first strictly inside (2, oo), the rest strictly inside (-2, 2),
-    descending.  Where the placement fails, or holds with g(0) == 0, the
-    `_placement` counts in place of boxes: such a g = x*h is reducible, so
-    no caller needs its boxes.
+    descending.  Where the placement fails, the `_misplacement` text in
+    place of boxes; where it holds with g(0) == 0, no boxes: such a g = x*h
+    is reducible, so no caller needs them.
 
     Exact sign changes at float-guided grid cells (`_placed_boxes`) prove
     the placement when they can; otherwise g's Sturm chain counts its roots
-    (`_placement`), and isolation, `refine` and `_confine` give the boxes,
-    the same ones wherever both paths place g."""
+    (`_misplacement`), and isolation, `refine` and `_confine` give the
+    boxes, the same ones wherever both paths place g."""
     boxes = _placed_boxes(g, eps)
     if boxes is not None:
         return boxes
-    counts = s_lo, s_hi, n_band, n_up = _placement(g)
-    placed = s_lo and s_hi and n_band == g.degree - 1 and n_up == 1
-    if not placed or g[0] == 0:
-        return counts
+    why = _misplacement(g)
+    if why:
+        return why
+    if g[0] == 0:
+        return []
     boxes = [refine(b, eps) for b in isolate_roots(g)][::-1]
     boxes[0] = _confine(boxes[0], 2, None)
     boxes[1:] = [_confine(b, -2, 2) for b in boxes[1:]]

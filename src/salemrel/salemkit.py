@@ -6,10 +6,12 @@ f(x) = x^s g(x + 1/x)) has one root in (2, oo) and s-1 roots in (-2, 2); the
 root beyond 2 is beta_1 = alpha + 1/alpha.  Every verdict rests on exact
 rational arithmetic: root placement by s strict sign changes of g at the
 ends of disjoint grid cells, which floats only help to find, or else by
-Sturm counts (`realroots._beta_boxes`); irreducibility of a
+Sturm counts (`realroots._beta_boxes`, which words a failed placement
+through `realroots._misplacement`); irreducibility of a
 placed g by Kronecker's theorem (a reducible one has a cyclotomic factor,
 found by gcds, with no factorization); alpha bracketed through interval
-arithmetic on beta_1.
+arithmetic on beta_1.  One certifier, `_certify`, gives that verdict for
+both `salem_check` and `build_salem_from_trace_poly`.
 """
 
 from __future__ import annotations
@@ -152,29 +154,19 @@ def salem_check(f: IntPoly):
         return RejectionReason(RejectionKind.ODD_DEGREE)
     if f.degree < 4:
         return RejectionReason(RejectionKind.DEGREE_TOO_SMALL)
-    g = trace_project(f)
-    s = f.degree // 2
+    return _certify(f, trace_project(f))
+
+
+def _certify(f: IntPoly, g: IntPoly):
+    """The verdict on the lift f = x^s*g(x + 1/x) of a monic g: root
+    placement (`realroots._beta_boxes`), then the degree bound, then
+    irreducibility (`_placed_reducible`), then the alpha box."""
     boxes = _beta_boxes(g, _BETA_WIDTH)
-    if isinstance(boxes, tuple):
-        s_lo, s_hi, n_band, n_up = boxes
-        if s_lo == 0 or s_hi == 0:
-            return RejectionReason(RejectionKind.ROOT_WINDOW_VIOLATION,
-                                   "root at the window boundary")
-        if n_up != 1:
-            return RejectionReason(RejectionKind.ROOT_WINDOW_VIOLATION,
-                                   f"{n_up} roots beyond 2 (need exactly 1)")
-        if n_band != s - 1:
-            return RejectionReason(RejectionKind.ROOT_WINDOW_VIOLATION,
-                                   f"{n_band} roots in (-2,2) (need {s - 1})")
-        # placed without boxes: g(0) == 0, so x divides g
-        return RejectionReason(RejectionKind.REDUCIBLE)
-    return _certify_placed(f, g, boxes)
-
-
-def _certify_placed(f: IntPoly, g: IntPoly, boxes: list[RootBox]):
-    """salem_check's verdict on a monic reciprocal f of degree >= 4 whose
-    trace polynomial g has passed the placement test with the beta boxes
-    boxes (`realroots._beta_boxes`)."""
+    if isinstance(boxes, str):
+        return RejectionReason(RejectionKind.ROOT_WINDOW_VIOLATION, boxes)
+    if g.degree < 2:
+        return RejectionReason(RejectionKind.DEGREE_TOO_SMALL)
+    # no boxes means g(0) == 0, which _placed_reducible tests first
     if _placed_reducible(g):
         return RejectionReason(RejectionKind.REDUCIBLE)
     alpha = _alpha_box(f, boxes[0])
@@ -189,19 +181,7 @@ def build_salem_from_trace_poly(g: IntPoly):
     remaining tests only its degree bound is left to apply."""
     if g.is_zero or not g.is_monic or g.degree < 1:
         raise ValueError("monic polynomial of degree >= 1 required")
-    boxes = _beta_boxes(g, _BETA_WIDTH)
-    if isinstance(boxes, tuple):
-        s_lo, s_hi, n_band, n_up = boxes
-        if s_lo == 0 or s_hi == 0:
-            return RejectionReason(RejectionKind.ROOT_WINDOW_VIOLATION,
-                                   "root at the window boundary")
-        if n_up != 1 or n_band != g.degree - 1:
-            return RejectionReason(RejectionKind.ROOT_WINDOW_VIOLATION)
-        # placed without boxes: g(0) == 0, so x divides g and g.degree >= 2
-        return RejectionReason(RejectionKind.REDUCIBLE)
-    if g.degree < 2:
-        return RejectionReason(RejectionKind.DEGREE_TOO_SMALL)
-    return _certify_placed(trace_lift(g), g, boxes)
+    return _certify(trace_lift(g), g)
 
 
 # -- degree-6 trace-0 enumeration --------------------------------------------------

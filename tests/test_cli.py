@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import hashlib
 import io
@@ -10,6 +11,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from salemrel import cli, factorint, salemkit
 from salemrel.cyclo import cyclotomic
@@ -89,6 +92,59 @@ def test_escaping_exceptions_exit_with_one_line(capsys, monkeypatch, exc,
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1 and type(exc).__name__ in captured.err
+
+
+# factors with roots at or next to -2, 0 and 2, inside and beyond (-2, 2);
+# drawn with replacement, so roots repeat
+_EDGE_FACTORS = tuple(IntPoly(c) for c in (
+    (-2, 1), (2, 1), (0, 1), (-1, 1), (-3, 1), (-5, 0, 1),
+    (-1, -4, 0, 1),  # the first sextic's trace polynomial
+    (1, -1 - (1 << 20), -1 + (1 << 20), 1),  # a root 3.2e-7 below 2
+    (-(1 << 21) - 1, 1 << 20),  # not monic: the root 2 + 2^-20
+))
+
+
+def _edge_input(t) -> IntPoly:
+    factors, shift, big, lead, lift = t
+    g = IntPoly((1,))
+    for f in factors:
+        g = g * f
+    g = g + IntPoly((shift, big))
+    g = IntPoly(g.coeffs[:-1] + (lead * g.coeffs[-1],))
+    return trace_lift(g) if lift and g.is_monic else g
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.tuples(
+    st.lists(st.sampled_from(_EDGE_FACTORS), min_size=1, max_size=2),
+    st.sampled_from((0, 1, -1)),  # a constant shift off the product
+    st.sampled_from((0, 1, 10 ** 304, -10 ** 400)),  # a linear term
+    st.sampled_from((1, 1, 2)),  # leading coefficient multiplier
+    st.booleans()).map(_edge_input),
+    st.sampled_from(("salem-check", "lemma4-lift", "factor", "relations")),
+    st.sampled_from(([], ["--json"], ["--verify", "--json"])))
+# the float guide's edge: a root bound near 10^304 over a 2^-17 cell
+@example(trace_lift(IntPoly((1, -10 ** 304, 1))), "salem-check", [])
+@example(IntPoly((1, -10 ** 304, 1)), "lemma4-lift", ["--json"])
+@example(trace_lift(IntPoly((1, -10 ** 304, 1))), "relations",
+         ["--verify", "--json"])
+@example(trace_lift(IntPoly((-1, -4, 0, 1))), "relations", ["--verify"])
+def test_exit_code_contract_on_edge_inputs(poly, command, flags):
+    # 0 success, 1 input error, 2 verification failure, with one line of
+    # stderr at most; salem-check answers every input within the degree
+    # cap, and lemma4-lift every monic one, so they exit 0
+    argv = [command, "[" + ",".join(map(str, poly.coeffs)) + "]"] + flags
+    if command == "relations":
+        argv += ["--max-length", "4"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2) and len(lines) <= 1, (code, lines)
+    if code == 1:
+        assert lines[0].startswith("error: "), lines
+    if command == "salem-check" or command == "lemma4-lift" and poly.is_monic:
+        assert code == 0, lines
 
 
 def test_python_dash_m_entry_point():

@@ -270,9 +270,22 @@ def test_progression_of_order_sharing_a_root_with_f():
         assert entry.residues == direct
 
 
+# f = x^3 - 2x^2 + 1 has f(1) == 0, so x-1 divides every member for both
+# signs; (x-1)^2 then divides all of them (eps = 1) or none (eps = -1)
+_UNIT_ROOT_SEQS = tuple(SalemSeq(IntPoly((1, 0, -2, 1)), eps,
+                                 divide_by_x_minus_1=True) for eps in (1, -1))
+
+
+def test_order1_entry_when_f_vanishes_at_1():
+    plus, minus = (cyclotomic_progressions(seq) for seq in _UNIT_ROOT_SEQS)
+    assert (plus.entries[0].order, plus.entries[0].residues) == (1, {0})
+    assert all(e.order != 1 for e in minus.entries)
+    assert plus.sporadic == minus.sporadic == ()
+
+
 def test_progressions_predict_divisibility_exactly():
     # independent sweep: divisibility happens exactly on the predicted indices
-    for fam in FAMILIES:
+    for fam in FAMILIES + _UNIT_ROOT_SEQS:
         ps = cyclotomic_progressions(fam)
         residues = {e.order: e.residues for e in ps.entries}
         sporadic = set(ps.sporadic)

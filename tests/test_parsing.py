@@ -67,6 +67,9 @@ def test_error_offsets():
         "x^": 2,
         "^2": 0,
         "1..2": 1,
+        # digits to str.isdigit, but not to int()
+        "x^²": 2,
+        "[²]": 1,
     }
     for text, offset in cases.items():
         with pytest.raises(SyntaxError) as ei:

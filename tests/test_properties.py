@@ -473,15 +473,20 @@ def test_isolate_roots_matches_per_node_counting_on_rational_roots(p):
 @example([4, 0, -3, 1])
 @example([-3, 1, 6, -2, -3, 1])
 def test_placement_matches_sign_tests_and_counts(coeffs):
-    """`_placement`'s one reading of the cached chain gives the boundary
-    signs' zeros and the root counts that salem_check used to take from
-    two sign tests and two count_roots calls."""
+    """`_misplacement`'s one reading of the cached chain words the verdict
+    that two sign tests and two count_roots calls give."""
     g = IntPoly(tuple(coeffs))
-    s_lo, s_hi, n_band, n_up = realroots._placement(g)
-    assert (s_lo == 0, s_hi == 0) == (g.sign_at(-2) == 0, g.sign_at(2) == 0)
-    if s_lo and s_hi:
-        assert (n_band, n_up) == (count_roots(g, -2, 2),
-                                  count_roots(g, 2, None))
+    why = realroots._misplacement(g)
+    if g.sign_at(-2) == 0 or g.sign_at(2) == 0:
+        assert why == "root at the window boundary"
+        return
+    n_band, n_up = count_roots(g, -2, 2), count_roots(g, 2, None)
+    if n_up != 1:
+        assert why == f"{n_up} roots beyond 2 (need exactly 1)"
+    elif n_band != g.degree - 1:
+        assert why == f"{n_band} roots in (-2,2) (need {g.degree - 1})"
+    else:
+        assert why == ""
 
 
 def _sturm_beta_boxes(g: IntPoly, eps: Fraction) -> list:
@@ -538,16 +543,16 @@ def test_placed_boxes_match_the_sturm_path(g):
     """`_placed_boxes` returns None or exactly salem_check's Sturm-path
     boxes, and only where the Sturm counts confirm the placement;
     `_beta_boxes` returns those boxes wherever the placement holds and
-    g(0) != 0, and the counts elsewhere."""
+    g(0) != 0, none where it holds with g(0) == 0, and the
+    `_misplacement` text elsewhere."""
     def ends(boxes):
         return [(b.ln, b.hn, b.den, b._one_root) for b in boxes]
 
-    counts = s_lo, s_hi, n_band, n_up = realroots._placement(g)
-    placed = s_lo and s_hi and (n_band, n_up) == (g.degree - 1, 1)
+    why = realroots._misplacement(g)
     boxes = realroots._placed_boxes(g, _EPS16)
     either = realroots._beta_boxes(g, _EPS16)
-    if not placed or g[0] == 0:
-        assert boxes is None and either == counts
+    if why or g[0] == 0:
+        assert boxes is None and either == (why or [])
         return
     sturm = ends(_sturm_beta_boxes(g, _EPS16))
     assert ends(either) == sturm
@@ -557,8 +562,7 @@ def test_placed_boxes_match_the_sturm_path(g):
 def test_placed_boxes_decline_what_their_cells_cannot_prove():
     # each input's placement holds, so only the guide's own tests refuse
     for g in (_ZERO_AT_0, _NEAR_TWO, _MIGNOTTE, _HUGE, _WIDE):
-        s_lo, s_hi, n_band, n_up = realroots._placement(g)
-        assert s_lo and s_hi and (n_band, n_up) == (g.degree - 1, 1)
+        assert realroots._misplacement(g) == ""
         assert realroots._placed_boxes(g, _EPS16) is None
     assert realroots._placed_boxes(IntPoly((1, -3, 1)), _EPS16) is not None
     # g(0) == 0 is refused before any float work

@@ -57,20 +57,38 @@ def test_smallest_quartic_salem():
     assert c.trace == 1 and len(c.beta_boxes) == 2
 
 
+_WINDOW = RejectionKind.ROOT_WINDOW_VIOLATION
+
+
 def test_rejection_kinds_and_precedence():
     checks = [
-        ((2, 0, 0, 0, 2), RejectionKind.NOT_MONIC),
-        ((1, 1, 0, 0, 1), RejectionKind.NOT_RECIPROCAL),
-        ((2, 0, 0, 1), RejectionKind.NOT_RECIPROCAL),  # monic checked first
-        ((1, 0, 0, 1), RejectionKind.ODD_DEGREE),
-        ((1, -3, 1), RejectionKind.DEGREE_TOO_SMALL),
-        ((1, 0, 0, 0, 1), RejectionKind.ROOT_WINDOW_VIOLATION),
-        ((1, 0, -2, 0, 1), RejectionKind.ROOT_WINDOW_VIOLATION),  # g root at +-2
+        ((2, 0, 0, 0, 2), RejectionKind.NOT_MONIC, ""),
+        ((1, 1, 0, 0, 1), RejectionKind.NOT_RECIPROCAL, ""),
+        ((2, 0, 0, 1), RejectionKind.NOT_RECIPROCAL, ""),  # monic checked first
+        ((1, 0, 0, 1), RejectionKind.ODD_DEGREE, ""),
+        ((1, -3, 1), RejectionKind.DEGREE_TOO_SMALL, ""),
+        ((1, 0, 0, 0, 1), _WINDOW, "0 roots beyond 2 (need exactly 1)"),
+        ((1, 0, -2, 0, 1), _WINDOW, "root at the window boundary"),  # g = x^2-4
+        ((1, 0, -7, 0, 1), _WINDOW, "0 roots in (-2,2) (need 1)"),  # g = x^2-9
+        ((1, -7, 14, -7, 1), _WINDOW, "2 roots beyond 2 (need exactly 1)"),
+        # h = x^2 + 3x: its lift's g is placed, with g(0) == 0
+        (pair_sum_lift(IntPoly((0, 3, 1))).coeffs, RejectionKind.REDUCIBLE,
+         ""),
     ]
-    for coeffs, kind in checks:
+    for coeffs, kind, detail in checks:
         reason = salem_check(IntPoly(coeffs))
         assert not reason
-        assert reason.kind is kind, coeffs
+        assert (reason.kind, reason.detail) == (kind, detail), coeffs
+
+
+def test_reducible_at_zero_needs_no_isolation(monkeypatch):
+    # a placed g with g(0) == 0 is rejected on the Sturm counts alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("isolate_roots called")
+
+    monkeypatch.setattr(realroots, "isolate_roots", refuse)
+    reason = salem_check(pair_sum_lift(IntPoly((0, 3, 1))))
+    assert not reason and reason.kind is RejectionKind.REDUCIBLE
 
 
 def test_rejects_reducible_window_passer():
@@ -148,8 +166,18 @@ def test_build_from_trace_poly():
     cert = build_salem_from_trace_poly(IntPoly((-3, -5, 0, 1)))
     assert cert and cert.minpoly.coeffs == (1, 0, -2, -3, -2, 0, 1)
 
-    reason = build_salem_from_trace_poly(IntPoly((-1, 1)))  # root 1 < 2
+    # root 1 < 2: placement is tested before the degree bound, which
+    # salem_check applies first to the quadratic lift
+    reason = build_salem_from_trace_poly(IntPoly((-1, 1)))
     assert not reason and reason.kind is RejectionKind.ROOT_WINDOW_VIOLATION
+    assert reason.detail == "0 roots beyond 2 (need exactly 1)"
+
+    # roots +-3; roots 3 and 4: the lift's salem_check verdict
+    for g in (IntPoly((-9, 0, 1)), IntPoly((12, -7, 1))):
+        reason = build_salem_from_trace_poly(g)
+        lifted = salem_check(trace_lift(g))
+        assert not reason and reason.kind is RejectionKind.ROOT_WINDOW_VIOLATION
+        assert (reason.kind, reason.detail) == (lifted.kind, lifted.detail)
 
     reason = build_salem_from_trace_poly(IntPoly((-3, 1)))  # lift is quadratic
     assert not reason and reason.kind is RejectionKind.DEGREE_TOO_SMALL
